@@ -8,10 +8,17 @@
 // sender knows its destination set even for an all-grouping broadcast, a
 // single destination-independent payload still acks correctly at every
 // replica — N copies contribute N distinct mix values.
+//
+// Workers do not send one ack message per execute: they accumulate the
+// (root, xor) entries of one loop iteration (a poll burst plus a spout
+// turn) and send them as one kBatch message, which the acker applies entry
+// by entry and answers with one kCompleteBatch per spout (DESIGN.md Sec 4).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/hash.h"
@@ -25,19 +32,52 @@ inline std::uint64_t AckContribution(std::uint64_t edge_id, WorkerId dst) {
 }
 
 // Ack message layout on kAckStream (plain data tuples):
-//   [i64 kind][i64 root][i64 xor]           kind = kInit | kAck
-//   [i64 kind][i64 root][i64 spout_worker]  extra field for kInit
-//   [i64 kind][i64 root]                    kind = kComplete / kFailNotice
+//   [i64 kInit][i64 root][i64 xor][i64 spout_worker]
+//   [i64 kAck][i64 root][i64 xor]
+//   [i64 kComplete][i64 root]
+//   [i64 kBatch][i64 spout_worker][bytes k x {u8 kind, u64 root, u64 xor}]
+//   [i64 kCompleteBatch][bytes k x {u64 root}]
+// Batch entries are kInit or kAck; the batch's spout_worker is the one
+// every kInit entry registers (the sending worker).
 enum class AckKind : std::int64_t {
-  kInit = 0,      // spout registered a new tuple tree
-  kAck = 1,       // bolt processed one hop
-  kComplete = 2,  // acker -> spout: tree fully processed
+  kInit = 0,           // spout registered a new tuple tree
+  kAck = 1,            // bolt processed one hop
+  kComplete = 2,       // acker -> spout: tree fully processed
+  kBatch = 3,          // worker -> acker: k init/ack entries
+  kCompleteBatch = 4,  // acker -> spout: k trees fully processed
+};
+
+// One entry of a kBatch message.
+struct AckEntry {
+  AckKind kind = AckKind::kAck;  // kInit or kAck
+  std::uint64_t root = 0;
+  std::uint64_t xor_val = 0;
+
+  friend bool operator==(const AckEntry&, const AckEntry&) = default;
 };
 
 Tuple MakeAckInit(std::uint64_t root, std::uint64_t xor_val,
                   WorkerId spout_worker);
 Tuple MakeAck(std::uint64_t root, std::uint64_t xor_val);
 Tuple MakeAckComplete(std::uint64_t root);
+Tuple MakeAckBatch(WorkerId spout_worker, std::span<const AckEntry> entries);
+Tuple MakeAckCompleteBatch(std::span<const std::uint64_t> roots);
+
+// Append one entry to a batch under construction. An entry with the same
+// kind and root as the last one XORs into it instead of growing the batch.
+void AppendAckEntry(std::vector<AckEntry>& batch, AckKind kind,
+                    std::uint64_t root, std::uint64_t xor_val);
+
+// Batch decoders: false (and `out` cleared) unless `t` is a well-formed
+// message of that kind.
+bool DecodeAckBatch(const Tuple& t, WorkerId& spout_worker,
+                    std::vector<AckEntry>& out);
+bool DecodeAckCompleteBatch(const Tuple& t, std::vector<std::uint64_t>& out);
+
+// Logical ack messages one kAckStream tuple carries: k for a batch of k
+// entries (or roots), 1 otherwise. Worker `received`/`emitted` counters
+// add this, so they count entries, not frames.
+std::size_t AckMessageCount(const Tuple& t);
 
 // The acker node's computation logic, deployed like any bolt under the
 // reserved node name kAckerNodeName.
@@ -57,12 +97,24 @@ class AckerBolt : public Bolt {
     common::TimePoint first_seen;
   };
 
+  // Fold one init/ack into its tree. Returns the spout to notify when the
+  // tree completed (the tree is then erased), 0 otherwise. `now` stamps a
+  // new tree; it is read from the clock on first need if still zero.
+  WorkerId apply(AckKind kind, std::uint64_t root, std::uint64_t xor_val,
+                 WorkerId spout, common::TimePoint& now);
+  void execute_batch(const Tuple& input, Emitter& out);
+  // Sweeps timed-out trees at most every 5 s, checked every 1024 messages.
+  void count_and_sweep(std::size_t messages);
   void sweep(common::TimePoint now);
 
   std::unordered_map<std::uint64_t, Tree> trees_;
   common::TimePoint last_sweep_;
   std::chrono::milliseconds tree_timeout_{30000};
-  std::uint64_t executes_ = 0;
+  std::uint64_t executes_ = 0;  // messages since the last sweep check
+  // Buffers reused across batches.
+  std::vector<AckEntry> entries_;
+  std::vector<std::pair<WorkerId, std::uint64_t>> completed_;
+  std::vector<std::uint64_t> roots_;
 };
 
 inline constexpr const char* kAckerNodeName = "__acker";

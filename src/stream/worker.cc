@@ -1,13 +1,17 @@
 #include "stream/worker.h"
 
-#include <deque>
 #include <exception>
 
 #include "common/log.h"
-#include "stream/acker.h"
 #include "stream/physical.h"
 
 namespace typhoon::stream {
+
+namespace {
+// Entries per ack batch before it is sent early (one poll burst's worth;
+// 256 entries are 4.3 KB, well inside one packet).
+constexpr std::size_t kMaxAckBatch = 256;
+}  // namespace
 
 Worker::Worker(WorkerOptions opts)
     : opts_(std::move(opts)),
@@ -112,14 +116,27 @@ void Worker::emit(StreamId stream, Tuple t) {
   if (spout_root && sent_any) {
     pending_[root] = PendingRoot{common::Now()};
     opts_.spout->anchored(root);
-    opts_.transport->send(MakeAckInit(root, init_xor, opts_.ctx.worker),
-                          kAckStream, 0, 0, {opts_.acker}, false);
+    add_ack_entry(AckKind::kInit, root, init_xor);
   }
 }
 
 void Worker::emit_direct(WorkerId dst, StreamId stream, Tuple t) {
   opts_.transport->send(t, stream, 0, 0, {dst}, false);
-  emitted_.inc();
+  emitted_.add(static_cast<std::int64_t>(
+      stream == kAckStream ? AckMessageCount(t) : 1));
+}
+
+void Worker::add_ack_entry(AckKind kind, std::uint64_t root,
+                           std::uint64_t xor_val) {
+  AppendAckEntry(ack_batch_, kind, root, xor_val);
+  if (ack_batch_.size() >= kMaxAckBatch) send_ack_batch();
+}
+
+void Worker::send_ack_batch() {
+  if (ack_batch_.empty()) return;
+  opts_.transport->send(MakeAckBatch(opts_.ctx.worker, ack_batch_),
+                        kAckStream, 0, 0, {opts_.acker}, false);
+  ack_batch_.clear();
 }
 
 void Worker::handle_control(const ControlTuple& ct) {
@@ -230,19 +247,22 @@ void Worker::handle_control(const ControlTuple& ct) {
   }
 }
 
+// Ackers answer workers' batches with batches: one kCompleteBatch per
+// spout per input batch.
 void Worker::handle_ack_stream(const Tuple& t) {
-  if (t.size() < 2) return;
-  if (static_cast<AckKind>(t.i64(0)) != AckKind::kComplete) return;
-  const auto root = static_cast<std::uint64_t>(t.i64(1));
-  auto it = pending_.find(root);
-  if (it == pending_.end()) return;
-  const std::int64_t latency_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          common::Now() - it->second.emitted_at)
-          .count();
-  pending_.erase(it);
-  acked_.inc();
-  opts_.spout->ack(root, latency_us);
+  if (!DecodeAckCompleteBatch(t, completed_roots_)) return;
+  const common::TimePoint now = common::Now();
+  for (std::uint64_t root : completed_roots_) {
+    auto it = pending_.find(root);
+    if (it == pending_.end()) continue;
+    const std::int64_t latency_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            now - it->second.emitted_at)
+            .count();
+    pending_.erase(it);
+    acked_.inc();
+    opts_.spout->ack(root, latency_us);
+  }
 }
 
 void Worker::handle_item(ReceivedItem& item) {
@@ -254,7 +274,9 @@ void Worker::handle_item(ReceivedItem& item) {
       slow > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(slow));
   }
-  received_.inc();
+  // Ack-stream batches count as the k logical messages they carry.
+  received_.add(static_cast<std::int64_t>(
+      item.meta.stream == kAckStream ? AckMessageCount(item.tuple) : 1));
   const bool is_acker = opts_.ctx.node_name == kAckerNodeName;
   if (item.meta.stream == kAckStream && opts_.is_spout) {
     handle_ack_stream(item.tuple);
@@ -279,10 +301,9 @@ void Worker::handle_item(ReceivedItem& item) {
 
   if (!is_acker && opts_.reliable && opts_.acker != 0 &&
       item.meta.root_id != 0) {
-    const std::uint64_t ack_val =
-        AckContribution(item.meta.edge_id, opts_.ctx.worker) ^ child_xor_;
-    opts_.transport->send(MakeAck(item.meta.root_id, ack_val), kAckStream, 0,
-                          0, {opts_.acker}, false);
+    add_ack_entry(
+        AckKind::kAck, item.meta.root_id,
+        AckContribution(item.meta.edge_id, opts_.ctx.worker) ^ child_xor_);
   }
   current_root_ = 0;
 }
@@ -367,13 +388,17 @@ void Worker::run() {
     return;
   }
 
+  // First heartbeat and stats before RUNNING (the publish-before-flip rule
+  // of mark_crashed): an observer that sees RUNNING finds a heartbeat.
   if (opts_.coord) {
-    opts_.coord->put_str(WorkerStatePath(topo, w), "RUNNING");
     publish_stats(common::Now());
+    opts_.coord->put_str(WorkerStatePath(topo, w), "RUNNING");
   }
 
+  // One poll burst, consumed through `next`; an INPUT_RATE stop leaves the
+  // rest for the following iterations.
   std::vector<ReceivedItem> buf;
-  std::deque<ReceivedItem> backlog;
+  std::size_t next = 0;
   common::TimePoint last_flush = common::Now();
   common::TimePoint last_hb = last_flush;
   common::TimePoint last_sweep = last_flush;
@@ -398,14 +423,14 @@ void Worker::run() {
       }
     }
 
-    if (backlog.empty()) {
+    if (next == buf.size()) {
       buf.clear();
+      next = 0;
       opts_.transport->poll(buf, 256);
-      for (ReceivedItem& item : buf) backlog.push_back(std::move(item));
     }
-    while (!backlog.empty() &&
+    while (next < buf.size() &&
            !stop_requested_.load(std::memory_order_relaxed)) {
-      ReceivedItem& item = backlog.front();
+      ReceivedItem& item = buf[next];
       // INPUT_RATE throttling applies to data tuples; control tuples are
       // processed unconditionally so the throttle itself can be lifted.
       if (!item.is_control && !opts_.is_spout && input_rate_.rate() > 0 &&
@@ -419,7 +444,7 @@ void Worker::run() {
         mark_crashed();
         break;
       }
-      backlog.pop_front();
+      ++next;
       ++work;
     }
     if (crashed_.load()) break;
@@ -433,6 +458,9 @@ void Worker::run() {
         break;
       }
     }
+    // The iteration's acks and inits leave as one message: no timer, so
+    // acking adds no latency beyond the iteration itself.
+    send_ack_batch();
 
     const common::TimePoint now = common::Now();
     if (now - last_flush >= opts_.flush_interval) {
@@ -458,6 +486,7 @@ void Worker::run() {
 
   if (crashed_.load()) return;  // mark_crashed already published DEAD
 
+  send_ack_batch();
   opts_.transport->flush();
   try {
     if (opts_.is_spout) {

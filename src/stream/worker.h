@@ -29,6 +29,7 @@
 #include "common/metrics.h"
 #include "common/rate_limiter.h"
 #include "coordinator/coordinator.h"
+#include "stream/acker.h"
 #include "stream/api.h"
 #include "stream/routing.h"
 #include "stream/transport.h"
@@ -131,6 +132,8 @@ class Worker final : public Emitter {
   void handle_item(ReceivedItem& item);
   void handle_control(const ControlTuple& ct);
   void handle_ack_stream(const Tuple& t);
+  void add_ack_entry(AckKind kind, std::uint64_t root, std::uint64_t xor_val);
+  void send_ack_batch();
   void publish_stats(common::TimePoint now);
   void sweep_pending(common::TimePoint now);
   bool spout_turn();
@@ -159,6 +162,12 @@ class Worker final : public Emitter {
     common::TimePoint emitted_at;
   };
   std::unordered_map<std::uint64_t, PendingRoot> pending_;
+
+  // Init/ack entries of the current loop iteration, sent to the acker as
+  // one kBatch message at its end (never on a timer), plus a decode buffer
+  // for the acker's kCompleteBatch answers.
+  std::vector<AckEntry> ack_batch_;
+  std::vector<std::uint64_t> completed_roots_;
 
   // Idempotent-delivery window for reliable control tuples: every sequenced
   // control tuple is acked, but only the first copy is applied (duplicates

@@ -40,6 +40,31 @@ std::size_t SentenceIndex(std::uint32_t seed, std::int64_t seq) {
   return static_cast<std::size_t>((x >> 33) % SentenceTable().size());
 }
 
+// Each table entry's words, tokenised once.
+const std::vector<std::vector<std::string>>& SentenceWords() {
+  static const std::vector<std::vector<std::string>> kWords = [] {
+    std::vector<std::vector<std::string>> words;
+    for (const std::string& sentence : SentenceTable()) {
+      std::istringstream is(sentence);
+      std::string word;
+      words.emplace_back();
+      while (is >> word) words.back().push_back(word);
+    }
+    return words;
+  }();
+  return kWords;
+}
+
+// How many of the seqs [0, sentences) pick each table entry: the
+// expectations cost one hash per sentence and no tokenising.
+std::vector<std::int64_t> SentenceHistogram(const WordCountParams& p) {
+  std::vector<std::int64_t> picks(SentenceTable().size(), 0);
+  for (std::int64_t seq = 0; seq < p.sentences; ++seq) {
+    ++picks[SentenceIndex(p.seed, seq)];
+  }
+  return picks;
+}
+
 // Replayable seeded sentence source: at-least-once with replay-on-fail.
 class ProcSentenceSpout : public stream::Spout {
  public:
@@ -196,21 +221,20 @@ const std::string& SentenceAt(std::uint32_t seed, std::int64_t seq) {
 }
 
 std::map<std::string, std::int64_t> ExpectedCounts(const WordCountParams& p) {
+  const std::vector<std::int64_t> picks = SentenceHistogram(p);
   std::map<std::string, std::int64_t> counts;
-  for (std::int64_t seq = 0; seq < p.sentences; ++seq) {
-    std::istringstream is(SentenceAt(p.seed, seq));
-    std::string word;
-    while (is >> word) ++counts[word];
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    if (picks[i] == 0) continue;  // no zero-count words for unpicked entries
+    for (const std::string& word : SentenceWords()[i]) counts[word] += picks[i];
   }
   return counts;
 }
 
 std::int64_t ExpectedUnique(const WordCountParams& p) {
+  const std::vector<std::int64_t> picks = SentenceHistogram(p);
   std::int64_t total = 0;
-  for (std::int64_t seq = 0; seq < p.sentences; ++seq) {
-    std::istringstream is(SentenceAt(p.seed, seq));
-    std::string word;
-    while (is >> word) ++total;
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    total += picks[i] * static_cast<std::int64_t>(SentenceWords()[i].size());
   }
   return total;
 }

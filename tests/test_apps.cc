@@ -3,6 +3,8 @@
 // live-debugger mirroring, and worker metric queries via control tuples.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "controller/cross_layer.h"
 #include "stream/topology.h"
 #include "typhoon/cluster.h"
@@ -123,9 +125,14 @@ TEST(LoadBalancerApp, GroupRulesRedirectTraffic) {
   cluster.start();
 
   auto state = std::make_shared<SinkState>();
+  // Lets the test hold the spout while the weights change (see below).
+  auto gate = std::make_shared<std::atomic<std::int64_t>>(
+      std::numeric_limits<std::int64_t>::max());
   TopologyBuilder b("lb");
   const NodeId src = b.add_spout(
-      "src", [] { return std::make_unique<SequenceSpout>(0, 8); }, 1);
+      "src",
+      [gate] { return std::make_unique<SequenceSpout>(0, 8, 0, 0.0, gate); },
+      1);
   const NodeId sink = b.add_bolt(
       "sink", [state] { return std::make_unique<CollectingSink>(state); },
       3);
@@ -147,15 +154,38 @@ TEST(LoadBalancerApp, GroupRulesRedirectTraffic) {
   ASSERT_EQ(sinks.size(), 3u);
   std::map<WorkerId, std::uint32_t> weights{
       {sinks[0].id, 10}, {sinks[1].id, 1}, {sinks[2].id, 1}};
-  ASSERT_TRUE(lb->set_weights(tid.value(), "src", "sink", weights).ok());
 
   std::vector<stream::Worker*> sink_workers =
       cluster.workers_of_node("lb", "sink");
   ASSERT_EQ(sink_workers.size(), 3u);
+  // Count only tuples routed under the new weights, at both ends of the
+  // window. Tuples queued toward sink 1 under the old even split would
+  // still land after the change and count against it (observed: d1 up to
+  // ~9900 against d0 ~8700); at the end, tuples routed to sink 0 but still
+  // queued there would not count yet. So hold the spout and let every
+  // queue drain before each reading.
+  stream::Worker* spout_worker = cluster.workers_of_node("lb", "src").at(0);
+  const auto hold_and_drain = [&] {
+    gate->store(0);
+    return WaitFor(
+        [&] {
+          const std::int64_t emitted = spout_worker->emitted();
+          common::SleepMillis(5);
+          return emitted == spout_worker->emitted() &&
+                 state->received.load() == emitted;
+        },
+        10s);
+  };
+  ASSERT_TRUE(hold_and_drain()) << "emitted " << spout_worker->emitted()
+                                << " received " << state->received.load();
+  ASSERT_TRUE(lb->set_weights(tid.value(), "src", "sink", weights).ok());
   const std::int64_t base0 = sink_workers[0]->received();
   const std::int64_t base1 = sink_workers[1]->received();
+  gate->store(std::numeric_limits<std::int64_t>::max());
   ASSERT_TRUE(WaitFor(
       [&] { return sink_workers[0]->received() - base0 > 5000; }, 10s));
+  ASSERT_TRUE(hold_and_drain()) << "emitted " << spout_worker->emitted()
+                                << " received " << state->received.load();
   const std::int64_t d0 = sink_workers[0]->received() - base0;
   const std::int64_t d1 = sink_workers[1]->received() - base1;
   EXPECT_GT(d0, d1 * 3) << "weighted WRR should favor task 0";

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "common/clock.h"
@@ -83,6 +84,38 @@ class ProcClusterTest : public ::testing::Test {
         << "orphaned typhoon_hostd after test: " << testutil::DescribeHostd();
   }
 };
+
+// The tokenising expectation ExpectedCounts/ExpectedUnique replaced: every
+// sentence re-split word by word. Kept as the reference they must match.
+std::pair<std::int64_t, std::map<std::string, std::int64_t>>
+TokenisedExpectation(const WordCountParams& p) {
+  std::int64_t unique = 0;
+  std::map<std::string, std::int64_t> counts;
+  for (std::int64_t seq = 0; seq < p.sentences; ++seq) {
+    std::istringstream is(SentenceAt(p.seed, seq));
+    std::string word;
+    while (is >> word) {
+      ++counts[word];
+      ++unique;
+    }
+  }
+  return {unique, counts};
+}
+
+TEST(ProcApps, ExpectationsMatchTokenisedReference) {
+  // Seed 7 over 120 sentences never picks the table's last entry: its
+  // words must be absent, not present with a zero count.
+  const std::pair<std::uint32_t, std::int64_t> cases[] = {
+      {7, 120}, {1, 1}, {1, 200}, {3, 5}, {42, 1000}, {101, 4321}};
+  for (const auto& [seed, sentences] : cases) {
+    WordCountParams p;
+    p.seed = seed;
+    p.sentences = sentences;
+    const auto [unique, counts] = TokenisedExpectation(p);
+    EXPECT_EQ(ExpectedUnique(p), unique) << seed << "/" << sentences;
+    EXPECT_EQ(ExpectedCounts(p), counts) << seed << "/" << sentences;
+  }
+}
 
 stream::SubmitOptions ReliableOptions(std::uint32_t pending_timeout_ms) {
   stream::SubmitOptions so;

@@ -29,15 +29,17 @@ bool WaitFor(F&& pred, std::chrono::milliseconds timeout) {
   return pred();
 }
 
-// src -> mid (scalable) -> sink, tracking sequence numbers end to end.
-stream::LogicalTopology ScalableTopo(std::shared_ptr<SinkState> state,
-                                     std::int64_t limit, int mid_par,
-                                     double rate = 0.0) {
+// src -> mid (scalable) -> sink, tracking sequence numbers end to end;
+// `gate` optionally holds the spout (see SequenceSpout).
+stream::LogicalTopology ScalableTopo(
+    std::shared_ptr<SinkState> state, std::int64_t limit, int mid_par,
+    double rate = 0.0,
+    std::shared_ptr<std::atomic<std::int64_t>> gate = nullptr) {
   TopologyBuilder b("scale");
   const NodeId src = b.add_spout(
       "src",
-      [limit, rate] {
-        return std::make_unique<SequenceSpout>(limit, 8, 0, rate);
+      [limit, rate, gate] {
+        return std::make_unique<SequenceSpout>(limit, 8, 0, rate, gate);
       },
       1);
   const NodeId mid = b.add_bolt(
@@ -58,7 +60,11 @@ TEST(Reconfig, ScaleUpLosesNoTuples) {
 
   auto state = std::make_shared<SinkState>();
   constexpr std::int64_t kLimit = 60000;
-  ASSERT_TRUE(cluster.submit(ScalableTopo(state, kLimit, 2)).ok());
+  // The unthrottled spout could emit all 60000 tuples before the scale-up
+  // lands, leaving the new workers nothing to carry: hold it after 6000
+  // until reconfigure() has returned.
+  auto gate = std::make_shared<std::atomic<std::int64_t>>(6000);
+  ASSERT_TRUE(cluster.submit(ScalableTopo(state, kLimit, 2, 0.0, gate)).ok());
   ASSERT_TRUE(WaitFor([&] { return state->received.load() > 3000; }, 10s));
 
   ReconfigRequest req;
@@ -67,6 +73,7 @@ TEST(Reconfig, ScaleUpLosesNoTuples) {
   req.node = "mid";
   req.count = 2;
   auto st = cluster.reconfigure(req);
+  gate->store(kLimit);
   ASSERT_TRUE(st.ok()) << st.str();
 
   // Parallelism took effect.

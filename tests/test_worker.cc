@@ -92,8 +92,54 @@ class WorkerFixture : public ::testing::Test {
     return out;
   }
 
+  // Where packets were dropped: switch ring-full drops per port and the
+  // workers' send drops.
+  std::string DropReport() const {
+    std::string out = "tx_dropped";
+    for (const auto& ps : sw_->port_stats()) {
+      out += " p" + std::to_string(ps.port) + "=" +
+             std::to_string(ps.tx_dropped);
+    }
+    return out;
+  }
+
+  // Outlives the workers (TearDown stops them first).
+  coordinator::Coordinator coord_;
   std::unique_ptr<switchd::SoftSwitch> sw_;
   std::vector<std::unique_ptr<Worker>> workers_;
+};
+
+// Transport decorator counting, for the test thread, the ack-stream
+// messages a worker sends and the poll bursts that delivered it anything.
+class CountingTransport final : public Transport {
+ public:
+  explicit CountingTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  void send(const Tuple& t, StreamId stream, std::uint64_t root_id,
+            std::uint64_t edge_id, const std::vector<WorkerId>& dests,
+            bool broadcast, trace::TraceContext trace) override {
+    if (stream == kAckStream) ack_frames.fetch_add(1);
+    inner_->send(t, stream, root_id, edge_id, dests, broadcast, trace);
+  }
+  void send_to_controller(const ControlTuple& ct) override {
+    inner_->send_to_controller(ct);
+  }
+  std::size_t poll(std::vector<ReceivedItem>& out, std::size_t max) override {
+    const std::size_t n = inner_->poll(out, max);
+    if (n > 0) bursts.fetch_add(1);
+    return n;
+  }
+  void flush() override { inner_->flush(); }
+  [[nodiscard]] std::size_t input_queue_depth() const override {
+    return inner_->input_queue_depth();
+  }
+
+  std::atomic<std::int64_t> ack_frames{0};
+  std::atomic<std::int64_t> bursts{0};
+
+ private:
+  std::unique_ptr<Transport> inner_;
 };
 
 WorkerOptions BaseOptions(WorkerId id, const std::string& node_name,
@@ -471,6 +517,96 @@ TEST_F(WorkerFixture, ReliableSpoutAcksViaAckerRoundTrip) {
   ASSERT_TRUE(WaitFor([&] { return probe->acked() >= 500; }, 10s))
       << "acked " << probe->acked();
   EXPECT_EQ(probe->failed(), 0);
+}
+
+TEST_F(WorkerFixture, BurstAckingKeepsLogicalCounts) {
+  // spout (1) -> bolt (2); acker (3). Inits and acks travel in per-burst
+  // batches, yet every counter still counts logical ack messages.
+  constexpr std::int64_t kTrees = 3000;
+  auto spout_transport =
+      std::make_unique<CountingTransport>(Transport(1, /*batch=*/64));
+  auto bolt_transport =
+      std::make_unique<CountingTransport>(Transport(2, /*batch=*/64));
+  // Attach every port before any worker starts: output to a port not yet
+  // attached is dropped.
+  auto acker_transport = Transport(3, /*batch=*/64);
+  CountingTransport* spout_io = spout_transport.get();
+  CountingTransport* bolt_io = bolt_transport.get();
+  Wire(1, 2, 102);
+  Wire(1, 3, 103);
+  Wire(2, 3, 103);
+  Wire(3, 1, 101);
+
+  WorkerOptions spout = BaseOptions(1, "src", true);
+  spout.spout = std::make_unique<testutil::SequenceSpout>(kTrees, 16);
+  spout.transport = std::move(spout_transport);
+  spout.reliable = true;
+  spout.acker = 3;
+  {
+    EdgeRuntime e;
+    e.to_node = 20;
+    e.state.type = GroupingType::kGlobal;
+    e.state.next_hops = {2};
+    spout.out_edges.push_back(std::move(e));
+  }
+  auto* probe = dynamic_cast<testutil::SequenceSpout*>(spout.spout.get());
+  Worker* spout_w = AddWorker(std::move(spout));
+
+  WorkerOptions bolt = BaseOptions(2, "sink", false);
+  bolt.bolt = std::make_unique<testutil::ForwardBolt>();
+  bolt.transport = std::move(bolt_transport);
+  bolt.reliable = true;
+  bolt.acker = 3;
+  Worker* bolt_w = AddWorker(std::move(bolt));
+
+  WorkerOptions acker = BaseOptions(3, kAckerNodeName, false);
+  acker.bolt = std::make_unique<AckerBolt>();
+  acker.transport = std::move(acker_transport);
+  Worker* acker_w = AddWorker(std::move(acker));
+
+  ASSERT_TRUE(WaitFor([&] { return probe->acked() >= kTrees; }, 10s))
+      << "acked " << probe->acked() << " failed " << probe->failed()
+      << "; " << DropReport();
+  EXPECT_EQ(probe->failed(), 0);
+  // Completed trees, not complete-batch frames.
+  EXPECT_EQ(spout_w->received(), probe->acked());
+  // One init per tree plus one ack per bolt execute, not frames: the
+  // spout sent its inits in far fewer messages than that.
+  EXPECT_EQ(bolt_w->received(), kTrees);
+  EXPECT_EQ(acker_w->received(), 2 * kTrees);
+  EXPECT_LT(spout_io->ack_frames.load(), kTrees);
+  // At most one ack batch per bolt burst.
+  EXPECT_GT(bolt_io->ack_frames.load(), 0);
+  EXPECT_LE(bolt_io->ack_frames.load(), bolt_io->bursts.load());
+}
+
+TEST_F(WorkerFixture, HeartbeatPublishedBeforeRunning) {
+  // A watcher that sees RUNNING must already find the first heartbeat.
+  struct Seen {
+    std::atomic<int> running{0};
+    std::atomic<int> running_without_heartbeat{0};
+  };
+  auto seen = std::make_shared<Seen>();
+  coordinator::Coordinator& coord = coord_;
+  const auto watch = coord.watch(
+      WorkerStatePath("t", 2),
+      [seen, &coord](const std::string&, coordinator::WatchEvent,
+                     const common::Bytes& data) {
+        if (std::string(data.begin(), data.end()) != "RUNNING") return;
+        if (!coord.exists(WorkerHeartbeatPath("t", 2))) {
+          seen->running_without_heartbeat.fetch_add(1);
+        }
+        seen->running.fetch_add(1);
+      });
+
+  WorkerOptions wo = BaseOptions(2, "fwd", false);
+  wo.bolt = std::make_unique<testutil::ForwardBolt>();
+  wo.transport = Transport(2);
+  wo.coord = &coord;
+  AddWorker(std::move(wo));
+  EXPECT_TRUE(WaitFor([&] { return seen->running.load() > 0; }, 3s));
+  coord.unwatch(watch);
+  EXPECT_EQ(seen->running_without_heartbeat.load(), 0);
 }
 
 TEST_F(WorkerFixture, UnackedTuplesFailAfterTimeout) {

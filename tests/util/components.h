@@ -81,17 +81,25 @@ class SentenceSpout : public Spout {
 // is faithful (paper Sec 8) but not what loss-freedom tests want to measure.
 class SequenceSpout : public Spout {
  public:
+  // With a `gate`, only seqs below its current value are emitted: a test
+  // holds the stream by lowering it and releases it by raising it.
   explicit SequenceSpout(std::int64_t limit = 0, int batch = 16,
-                         int payload_len = 0, double rate_per_sec = 0.0)
+                         int payload_len = 0, double rate_per_sec = 0.0,
+                         std::shared_ptr<std::atomic<std::int64_t>> gate =
+                             nullptr)
       : limit_(limit),
         batch_(batch),
         payload_(payload_len, 'x'),
-        rate_(rate_per_sec) {}
+        rate_(rate_per_sec),
+        gate_(std::move(gate)) {}
 
   bool next(Emitter& out) override {
     if (limit_ > 0 && seq_ >= limit_) return false;
+    if (gate_ != nullptr && seq_ >= gate_->load()) return false;
     if (!rate_.try_acquire(batch_)) return false;
-    for (int i = 0; i < batch_ && (limit_ == 0 || seq_ < limit_); ++i) {
+    for (int i = 0; i < batch_ && (limit_ == 0 || seq_ < limit_) &&
+                    (gate_ == nullptr || seq_ < gate_->load());
+         ++i) {
       if (payload_.empty()) {
         out.emit(Tuple{seq_});
       } else {
@@ -117,6 +125,7 @@ class SequenceSpout : public Spout {
   int batch_;
   std::string payload_;
   common::RateLimiter rate_;
+  std::shared_ptr<std::atomic<std::int64_t>> gate_;
   std::int64_t seq_ = 0;
   std::atomic<std::int64_t> acked_{0};
   std::atomic<std::int64_t> failed_{0};
