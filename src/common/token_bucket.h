@@ -1,6 +1,5 @@
 // ByteBucket — a byte-denominated token bucket for egress/ingress rate
-// shaping (the per-port shaper rates the QoS controller app programs, and
-// tunnel TX capacity caps). Unlike RateLimiter's all-or-nothing acquire,
+// shaping (the per-port shaper rates the QoS controller app programs). Unlike RateLimiter's all-or-nothing acquire,
 // admission is debt-based: a caller asks `try_spend(bytes)` and is admitted
 // whenever the bucket holds *any* credit, with the full byte cost charged
 // even if it overdraws the bucket. Debt carries into the next window, so

@@ -25,6 +25,33 @@ std::size_t RoundUpPow2(std::size_t v) {
   return p;
 }
 
+// Copy into / out of a power-of-two ring at a monotonic byte cursor,
+// wrapping at the ring edge.
+void RingPut(std::uint8_t* data, std::size_t cap, std::uint64_t pos,
+             const std::uint8_t* src, std::size_t n) {
+  const std::size_t off = pos & (cap - 1);
+  const std::size_t first = std::min(n, cap - off);
+  std::memcpy(data + off, src, first);
+  if (first < n) std::memcpy(data, src + first, n - first);
+}
+
+void RingGet(const std::uint8_t* data, std::size_t cap, std::uint64_t pos,
+             std::uint8_t* dst, std::size_t n) {
+  const std::size_t off = pos & (cap - 1);
+  const std::size_t first = std::min(n, cap - off);
+  std::memcpy(dst, data + off, first);
+  if (first < n) std::memcpy(dst + first, data, n - first);
+}
+
+void PutLen(std::uint8_t* data, std::size_t cap, std::uint64_t pos,
+            std::uint32_t len) {
+  const std::uint8_t len_le[4] = {
+      static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+      static_cast<std::uint8_t>(len >> 16),
+      static_cast<std::uint8_t>(len >> 24)};
+  RingPut(data, cap, pos, len_le, sizeof len_le);
+}
+
 }  // namespace
 
 // One direction of the wire. `tail` is the producer's byte cursor, `head`
@@ -138,7 +165,7 @@ std::uint8_t* ShmRingTunnel::ring_data(int index) const {
   return base + static_cast<std::size_t>(index) * hdr_->capacity;
 }
 
-bool ShmRingTunnel::ring_write(common::Bytes& frame) {
+bool ShmRingTunnel::ring_write(const common::Bytes& frame) {
   Ring* r = tx_ring();
   const std::size_t cap = hdr_->capacity;
   const std::size_t need = 4 + frame.size();
@@ -148,49 +175,10 @@ bool ShmRingTunnel::ring_write(common::Bytes& frame) {
   if (cap - (tail - head) < need) return false;  // full
 
   std::uint8_t* data = ring_data(side_ == Side::kA ? 0 : 1);
-  auto put = [&](std::uint64_t pos, const std::uint8_t* src, std::size_t n) {
-    const std::size_t off = pos & (cap - 1);
-    const std::size_t first = std::min(n, cap - off);
-    std::memcpy(data + off, src, first);
-    if (first < n) std::memcpy(data, src + first, n - first);
-  };
-  const std::uint8_t len_le[4] = {
-      static_cast<std::uint8_t>(frame.size()),
-      static_cast<std::uint8_t>(frame.size() >> 8),
-      static_cast<std::uint8_t>(frame.size() >> 16),
-      static_cast<std::uint8_t>(frame.size() >> 24)};
-  put(tail, len_le, 4);
-  put(tail + 4, frame.data(), frame.size());
+  PutLen(data, cap, tail, static_cast<std::uint32_t>(frame.size()));
+  if (!frame.empty()) RingPut(data, cap, tail + 4, frame.data(), frame.size());
   r->tail.store(tail + need, std::memory_order_release);
   r->frames.fetch_add(1, std::memory_order_release);
-  return true;
-}
-
-bool ShmRingTunnel::ring_read(common::Bytes& out) {
-  Ring* r = rx_ring();
-  const std::size_t cap = hdr_->capacity;
-  const std::uint64_t head = r->head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = r->tail.load(std::memory_order_acquire);
-  if (tail - head < 4) return false;
-
-  const std::uint8_t* data = ring_data(side_ == Side::kA ? 1 : 0);
-  auto get = [&](std::uint64_t pos, std::uint8_t* dst, std::size_t n) {
-    const std::size_t off = pos & (cap - 1);
-    const std::size_t first = std::min(n, cap - off);
-    std::memcpy(dst, data + off, first);
-    if (first < n) std::memcpy(dst + first, data, n - first);
-  };
-  std::uint8_t len_le[4];
-  get(head, len_le, 4);
-  const std::uint32_t len = static_cast<std::uint32_t>(len_le[0]) |
-                            (static_cast<std::uint32_t>(len_le[1]) << 8) |
-                            (static_cast<std::uint32_t>(len_le[2]) << 16) |
-                            (static_cast<std::uint32_t>(len_le[3]) << 24);
-  if (len > cap || tail - head < 4 + len) return false;  // partial write
-  out.resize(len);
-  get(head + 4, out.data(), len);
-  r->head.store(head + 4 + len, std::memory_order_release);
-  r->frames.fetch_sub(1, std::memory_order_release);
   return true;
 }
 
@@ -214,89 +202,39 @@ bool ShmRingTunnel::wire_push(common::Bytes frame) {
   }
 }
 
-bool ShmRingTunnel::wire_try_push(common::Bytes frame) {
-  if (tx_ring()->closed.load(std::memory_order_acquire) != 0) return false;
-  std::lock_guard lk(tx_mu_);
-  return ring_write(frame);
-}
-
-std::size_t ShmRingTunnel::wire_try_push_bulk(
-    std::vector<common::Bytes>& frames) {
-  if (tx_ring()->closed.load(std::memory_order_acquire) != 0) return 0;
-  std::lock_guard lk(tx_mu_);
-  // Burst reserve/commit: one head load bounds the space, the frames are
-  // laid in against a local cursor, and one tail store + one frame-count
-  // add publish the whole burst (vs. a cursor round per frame).
-  Ring* r = tx_ring();
-  const std::size_t cap = hdr_->capacity;
-  const std::uint64_t head = r->head.load(std::memory_order_acquire);
-  std::uint64_t tail = r->tail.load(std::memory_order_relaxed);
-  std::uint8_t* data = ring_data(side_ == Side::kA ? 0 : 1);
-  auto put = [&](std::uint64_t pos, const std::uint8_t* src, std::size_t n) {
-    const std::size_t off = pos & (cap - 1);
-    const std::size_t first = std::min(n, cap - off);
-    std::memcpy(data + off, src, first);
-    if (first < n) std::memcpy(data, src + first, n - first);
-  };
-  std::size_t n = 0;
-  for (const common::Bytes& f : frames) {
-    const std::size_t need = 4 + f.size();
-    if (need > cap || cap - (tail - head) < need) break;
-    const std::uint8_t len_le[4] = {static_cast<std::uint8_t>(f.size()),
-                                    static_cast<std::uint8_t>(f.size() >> 8),
-                                    static_cast<std::uint8_t>(f.size() >> 16),
-                                    static_cast<std::uint8_t>(f.size() >> 24)};
-    put(tail, len_le, 4);
-    if (!f.empty()) put(tail + 4, f.data(), f.size());
-    tail += need;
-    ++n;
-  }
-  if (n != 0) {
-    r->tail.store(tail, std::memory_order_release);
-    r->frames.fetch_add(static_cast<std::uint32_t>(n),
-                        std::memory_order_release);
-  }
-  return n;
-}
-
 std::size_t ShmRingTunnel::wire_try_push_pkts(
     std::span<const PacketPtr> pkts, std::span<const TxFrameInfo> info) {
   if (tx_ring()->closed.load(std::memory_order_acquire) != 0) return 0;
   std::lock_guard lk(tx_mu_);
-  // Same burst reserve/commit, encoding [hdr][payload][csum] straight into
-  // the mapped ring — no intermediate frame buffer.
+  // Burst reserve/commit: one head load bounds the space, the records are
+  // encoded ([len][hdr][payload][csum]) straight into the mapped ring
+  // against a local cursor — no intermediate frame buffer — and one tail
+  // store + one frame-count add publish the whole burst.
   Ring* r = tx_ring();
   const std::size_t cap = hdr_->capacity;
   const std::uint64_t head = r->head.load(std::memory_order_acquire);
   std::uint64_t tail = r->tail.load(std::memory_order_relaxed);
   std::uint8_t* data = ring_data(side_ == Side::kA ? 0 : 1);
-  auto put = [&](std::uint64_t pos, const std::uint8_t* src, std::size_t n) {
-    const std::size_t off = pos & (cap - 1);
-    const std::size_t first = std::min(n, cap - off);
-    std::memcpy(data + off, src, first);
-    if (first < n) std::memcpy(data, src + first, n - first);
-  };
   std::size_t n = 0;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     const std::uint32_t flen =
         info[i].body_len + static_cast<std::uint32_t>(kFrameChecksumBytes);
     const std::size_t need = 4 + static_cast<std::size_t>(flen);
     if (need > cap || cap - (tail - head) < need) break;
-    const std::uint8_t len_le[4] = {static_cast<std::uint8_t>(flen),
-                                    static_cast<std::uint8_t>(flen >> 8),
-                                    static_cast<std::uint8_t>(flen >> 16),
-                                    static_cast<std::uint8_t>(flen >> 24)};
-    put(tail, len_le, 4);
+    PutLen(data, cap, tail, flen);
     std::uint8_t hdr_buf[Packet::kHeaderWireSize];
     EncodeFrameHeader(*pkts[i], hdr_buf);
-    put(tail + 4, hdr_buf, sizeof(hdr_buf));
+    RingPut(data, cap, tail + 4, hdr_buf, sizeof(hdr_buf));
     const common::Bytes& pay = pkts[i]->payload;
-    if (!pay.empty()) put(tail + 4 + sizeof(hdr_buf), pay.data(), pay.size());
+    if (!pay.empty()) {
+      RingPut(data, cap, tail + 4 + sizeof(hdr_buf), pay.data(), pay.size());
+    }
     std::uint8_t csum[kFrameChecksumBytes];
     for (std::size_t b = 0; b < kFrameChecksumBytes; ++b) {
       csum[b] = static_cast<std::uint8_t>(info[i].checksum >> (b * 8));
     }
-    put(tail + 4 + sizeof(hdr_buf) + pay.size(), csum, sizeof(csum));
+    RingPut(data, cap, tail + 4 + sizeof(hdr_buf) + pay.size(), csum,
+            sizeof(csum));
     tail += need;
     ++n;
   }
@@ -304,25 +242,6 @@ std::size_t ShmRingTunnel::wire_try_push_pkts(
     r->tail.store(tail, std::memory_order_release);
     r->frames.fetch_add(static_cast<std::uint32_t>(n),
                         std::memory_order_release);
-  }
-  return n;
-}
-
-std::optional<common::Bytes> ShmRingTunnel::wire_try_pop() {
-  std::lock_guard lk(rx_mu_);
-  common::Bytes out;
-  if (!ring_read(out)) return std::nullopt;
-  return out;
-}
-
-std::size_t ShmRingTunnel::wire_pop_bulk(std::vector<common::Bytes>& out,
-                                         std::size_t max) {
-  std::lock_guard lk(rx_mu_);
-  std::size_t n = 0;
-  common::Bytes f;
-  while (n < max && ring_read(f)) {
-    out.push_back(std::move(f));
-    ++n;
   }
   return n;
 }
@@ -335,12 +254,6 @@ std::size_t ShmRingTunnel::wire_pop_views(std::vector<FrameView>& out,
   const std::uint64_t head = r->head.load(std::memory_order_relaxed);
   const std::uint64_t tail = r->tail.load(std::memory_order_acquire);
   const std::uint8_t* data = ring_data(side_ == Side::kA ? 1 : 0);
-  auto get = [&](std::uint64_t pos, std::uint8_t* dst, std::size_t n) {
-    const std::size_t off = pos & (cap - 1);
-    const std::size_t first = std::min(n, cap - off);
-    std::memcpy(dst, data + off, first);
-    if (first < n) std::memcpy(dst + first, data, n - first);
-  };
   // Walk records in place. Contiguous records are lent as spans straight
   // into the mapped ring — the producer cannot overwrite them because the
   // head cursor advances only in wire_release_views. Records straddling
@@ -350,7 +263,7 @@ std::size_t ShmRingTunnel::wire_pop_views(std::vector<FrameView>& out,
   wrap_used_ = 0;
   while (n < max && tail - pos >= 4) {
     std::uint8_t len_le[4];
-    get(pos, len_le, 4);
+    RingGet(data, cap, pos, len_le, 4);
     const std::uint32_t len = static_cast<std::uint32_t>(len_le[0]) |
                               (static_cast<std::uint32_t>(len_le[1]) << 8) |
                               (static_cast<std::uint32_t>(len_le[2]) << 16) |
@@ -363,7 +276,7 @@ std::size_t ShmRingTunnel::wire_pop_views(std::vector<FrameView>& out,
       if (wrap_used_ == wrap_bufs_.size()) wrap_bufs_.emplace_back();
       common::Bytes& buf = wrap_bufs_[wrap_used_++];
       buf.resize(len);
-      get(pos + 4, buf.data(), len);
+      RingGet(data, cap, pos + 4, buf.data(), len);
       rx_wrap_copied_.fetch_add(len, std::memory_order_relaxed);
       out.push_back(
           FrameView{std::span<const std::uint8_t>(buf.data(), buf.size())});
@@ -384,19 +297,6 @@ void ShmRingTunnel::wire_release_views() {
   r->frames.fetch_sub(view_count_, std::memory_order_release);
   view_count_ = 0;
   wrap_used_ = 0;
-}
-
-std::optional<common::Bytes> ShmRingTunnel::wire_pop_for(
-    std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    if (auto f = wire_try_pop()) return f;
-    if (rx_ring()->closed.load(std::memory_order_acquire) != 0) {
-      return std::nullopt;  // drained and closed
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
 }
 
 std::size_t ShmRingTunnel::wire_rx_depth() const {

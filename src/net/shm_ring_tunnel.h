@@ -66,16 +66,8 @@ class ShmRingTunnel final : public TunnelEndpoint {
 
  protected:
   bool wire_push(common::Bytes frame) override;
-  bool wire_try_push(common::Bytes frame) override;
-  std::size_t wire_try_push_bulk(std::vector<common::Bytes>& frames) override;
   std::size_t wire_try_push_pkts(std::span<const PacketPtr> pkts,
                                  std::span<const TxFrameInfo> info) override;
-  std::optional<common::Bytes> wire_try_pop() override;
-  std::size_t wire_pop_bulk(std::vector<common::Bytes>& out,
-                            std::size_t max) override;
-  std::optional<common::Bytes> wire_pop_for(
-      std::chrono::milliseconds timeout) override;
-  [[nodiscard]] bool wire_supports_views() const override { return true; }
   std::size_t wire_pop_views(std::vector<FrameView>& out,
                              std::size_t max) override;
   void wire_release_views() override;
@@ -89,9 +81,8 @@ class ShmRingTunnel final : public TunnelEndpoint {
   ShmRingTunnel(void* map, std::size_t map_bytes, Side side,
                 ShmRingTunnelConfig cfg);
 
-  // Unsynchronized primitives; callers hold the matching local mutex.
-  bool ring_write(common::Bytes& frame);  // true when copied into the ring
-  bool ring_read(common::Bytes& out);     // true when a full record popped
+  // Copy one frame into the TX ring; false when full. Caller holds tx_mu_.
+  bool ring_write(const common::Bytes& frame);
 
   [[nodiscard]] Ring* tx_ring() const;
   [[nodiscard]] Ring* rx_ring() const;

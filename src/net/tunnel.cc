@@ -1,9 +1,8 @@
 #include "net/tunnel.h"
 
-#include <chrono>
 #include <iterator>
+#include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/hash.h"
@@ -14,26 +13,10 @@ namespace {
 
 constexpr std::size_t kChecksumBytes = kFrameChecksumBytes;
 
-void AppendChecksum(common::Bytes& frame) {
-  const std::uint64_t sum =
-      common::Fnv1a(std::span<const std::uint8_t>(frame.data(), frame.size()));
+void AppendChecksum(common::Bytes& frame, std::uint64_t sum) {
   for (std::size_t i = 0; i < kChecksumBytes; ++i) {
     frame.push_back(static_cast<std::uint8_t>(sum >> (i * 8)));
   }
-}
-
-bool VerifyAndStripChecksum(common::Bytes& frame) {
-  if (frame.size() < kChecksumBytes) return false;
-  const std::size_t body = frame.size() - kChecksumBytes;
-  std::uint64_t stored = 0;
-  for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-    stored |= static_cast<std::uint64_t>(frame[body + i]) << (i * 8);
-  }
-  const std::uint64_t sum =
-      common::Fnv1a(std::span<const std::uint8_t>(frame.data(), body));
-  if (sum != stored) return false;
-  frame.resize(body);
-  return true;
 }
 
 // Verify the trailer over a borrowed frame view without mutating it.
@@ -69,16 +52,7 @@ bool TunnelEndpoint::send(const Packet& p) {
   // bytes_sent counts marshalled frame bytes; the checksum trailer is link
   // overhead, excluded so throughput probes keep their pre-trailer meaning.
   const std::size_t body_bytes = frame.size();
-  AppendChecksum(frame);
-
-  // Capacity cap: wait for token credit before the frame reaches the wire
-  // (blocking-send = TCP back-pressure, so saturation stalls the sender).
-  // The wait always terminates — a positive rate keeps refilling, and a
-  // concurrently closed queue just rejects the push afterward.
-  while (tx_limited_.load(std::memory_order_acquire) &&
-         !tx_bucket_.try_spend(static_cast<double>(body_bytes))) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  AppendChecksum(frame, common::Fnv1a(std::span<const std::uint8_t>(frame)));
 
   bool ok = false;
   bool handled = false;
@@ -113,61 +87,12 @@ bool TunnelEndpoint::send(const Packet& p) {
   return ok;
 }
 
-std::size_t TunnelEndpoint::try_send_burst(
-    std::span<const Packet* const> pkts) {
+std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
   if (pkts.empty()) return 0;
   if (impaired_.load(std::memory_order_acquire)) {
     // Impaired links keep the per-frame path so the shaper's deterministic
     // draw schedule (one admit per frame) is byte-identical with and
     // without bursting.
-    std::size_t n = 0;
-    for (const Packet* p : pkts) {
-      if (!send(*p)) break;
-      ++n;
-    }
-    return n;
-  }
-  std::vector<common::Bytes> frames;
-  frames.reserve(pkts.size());
-  std::size_t body_bytes_total = 0;
-  std::vector<std::size_t> body_bytes;
-  body_bytes.reserve(pkts.size());
-  const bool capped = tx_limited_.load(std::memory_order_acquire);
-  for (const Packet* p : pkts) {
-    common::Bytes frame;
-    frame.reserve(p->wire_size() + kChecksumBytes);
-    EncodeFrame(*p, frame);
-    // On a capped link the burst stops at the first frame the bucket
-    // cannot cover yet; the caller keeps the tail (its fallback is the
-    // blocking send, which waits for credit).
-    if (capped && !tx_bucket_.try_spend(static_cast<double>(frame.size()))) {
-      break;
-    }
-    body_bytes.push_back(frame.size());
-    AppendChecksum(frame);
-    frames.push_back(std::move(frame));
-  }
-  const std::size_t pushed = wire_try_push_bulk(frames);
-  if (capped) {
-    // Refund credit for frames the full ring rejected — they were charged
-    // on admission but never reached the wire (the caller will re-pay when
-    // it retries them).
-    for (std::size_t i = pushed; i < frames.size(); ++i) {
-      tx_bucket_.spend(-static_cast<double>(body_bytes[i]));
-    }
-  }
-  for (std::size_t i = 0; i < pushed; ++i) body_bytes_total += body_bytes[i];
-  bytes_.fetch_add(body_bytes_total, std::memory_order_relaxed);
-  sent_.fetch_add(pushed, std::memory_order_relaxed);
-  if (pushed != 0) wire_fire_tx_notify();
-  return pushed;
-}
-
-std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
-  if (pkts.empty()) return 0;
-  if (impaired_.load(std::memory_order_acquire)) {
-    // Same as the raw-pointer overload: impaired links keep the per-frame
-    // path so the shaper's draw schedule stays byte-identical.
     std::size_t n = 0;
     for (const PacketPtr& p : pkts) {
       if (!send(*p)) break;
@@ -175,25 +100,14 @@ std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
     }
     return n;
   }
-  // Precompute framing metadata; on a capped link admit frames against the
-  // bucket one by one, stopping at the first the bucket cannot cover.
   std::vector<TxFrameInfo> info;
   info.reserve(pkts.size());
-  const bool capped = tx_limited_.load(std::memory_order_acquire);
   for (const PacketPtr& p : pkts) {
-    const std::size_t body = p->wire_size();
-    if (capped && !tx_bucket_.try_spend(static_cast<double>(body))) break;
-    info.push_back(TxFrameInfo{static_cast<std::uint32_t>(body),
+    info.push_back(TxFrameInfo{static_cast<std::uint32_t>(p->wire_size()),
                                FrameChecksum(*p)});
   }
   const std::size_t pushed =
-      wire_try_push_pkts(pkts.first(info.size()),
-                         std::span<const TxFrameInfo>(info));
-  if (capped) {
-    for (std::size_t i = pushed; i < info.size(); ++i) {
-      tx_bucket_.spend(-static_cast<double>(info[i].body_len));
-    }
-  }
+      wire_try_push_pkts(pkts, std::span<const TxFrameInfo>(info));
   std::size_t body_bytes_total = 0;
   for (std::size_t i = 0; i < pushed; ++i) body_bytes_total += info[i].body_len;
   bytes_.fetch_add(body_bytes_total, std::memory_order_relaxed);
@@ -202,111 +116,28 @@ std::size_t TunnelEndpoint::try_send_burst(std::span<const PacketPtr> pkts) {
   return pushed;
 }
 
-std::size_t TunnelEndpoint::wire_try_push_pkts(
-    std::span<const PacketPtr> pkts, std::span<const TxFrameInfo> info) {
-  // Fallback for transports without a vectored TX path: materialize the
-  // checksummed frames and reuse the bulk byte push.
-  std::vector<common::Bytes> frames;
-  frames.reserve(pkts.size());
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    common::Bytes frame;
-    frame.reserve(info[i].body_len + kChecksumBytes);
-    EncodeFrame(*pkts[i], frame);
-    const std::uint64_t sum = info[i].checksum;
-    for (std::size_t b = 0; b < kChecksumBytes; ++b) {
-      frame.push_back(static_cast<std::uint8_t>(sum >> (b * 8)));
-    }
-    frames.push_back(std::move(frame));
-  }
-  return wire_try_push_bulk(frames);
-}
-
-std::optional<Packet> TunnelEndpoint::decode_checked(common::Bytes frame) {
-  if (!VerifyAndStripChecksum(frame)) {
-    corrupt_rx_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  return DecodeFrame(frame);
-}
-
-bool TunnelEndpoint::decode_checked_into(common::Bytes frame, Packet& out) {
-  if (!VerifyAndStripChecksum(frame)) {
-    corrupt_rx_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return DecodeFrameInto(frame, out);
-}
-
-bool TunnelEndpoint::try_recv_into(Packet& out) {
-  while (auto frame = wire_try_pop()) {
-    if (decode_checked_into(std::move(*frame), out)) return true;
-  }
-  return false;
-}
-
 std::size_t TunnelEndpoint::try_recv_burst(std::span<Packet*> out) {
   if (out.empty()) return 0;
-  if (wire_supports_views()) {
-    // View path: the transport lends spans into its RX slabs/rings; verify
-    // and decode in place, making the payload copy into the caller's pooled
-    // packet the only copy past the kernel boundary.
-    view_scratch_.clear();
-    const std::size_t got = wire_pop_views(view_scratch_, out.size());
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < got; ++i) {
-      const auto body = VerifyChecksumView(view_scratch_[i].bytes);
-      if (!body) {
-        corrupt_rx_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (DecodeFrameInto(*body, *out[n])) ++n;
-    }
-    view_scratch_.clear();
-    wire_release_views();
-    return n;
-  }
-  rx_scratch_.clear();
-  wire_pop_bulk(rx_scratch_, out.size());
+  // The transport lends spans into its RX rings/slabs; verify and decode in
+  // place, making the payload copy into the caller's pooled packet the only
+  // copy on the RX path.
+  view_scratch_.clear();
+  const std::size_t got = wire_pop_views(view_scratch_, out.size());
   std::size_t n = 0;
-  for (common::Bytes& frame : rx_scratch_) {
+  for (std::size_t i = 0; i < got; ++i) {
     // Corrupt frames are counted link drops; the decode slot is reused for
     // the next frame so the caller still gets a dense prefix.
-    if (decode_checked_into(std::move(frame), *out[n])) ++n;
+    const auto body = VerifyChecksumView(view_scratch_[i].bytes);
+    if (!body) {
+      corrupt_rx_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (DecodeFrameInto(*body, *out[n])) ++n;
   }
-  rx_scratch_.clear();
+  view_scratch_.clear();
+  wire_release_views();
   return n;
 }
-
-std::optional<Packet> TunnelEndpoint::try_recv() {
-  // Corrupt frames are link drops: count them and keep draining so the
-  // caller never mistakes a mangled frame for an empty queue.
-  while (auto frame = wire_try_pop()) {
-    if (auto p = decode_checked(std::move(*frame))) return p;
-  }
-  return std::nullopt;
-}
-
-std::optional<Packet> TunnelEndpoint::recv_for(
-    std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    auto frame = wire_pop_for(remaining > std::chrono::milliseconds::zero()
-                                  ? remaining
-                                  : std::chrono::milliseconds::zero());
-    if (!frame) return std::nullopt;
-    if (auto p = decode_checked(std::move(*frame))) return p;
-    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-  }
-}
-
-void TunnelEndpoint::set_tx_rate(double bytes_per_sec) {
-  tx_bucket_.set_rate(bytes_per_sec);
-  tx_limited_.store(bytes_per_sec > 0.0, std::memory_order_release);
-}
-
-double TunnelEndpoint::tx_rate() const { return tx_bucket_.rate(); }
 
 faultinject::Impairment* TunnelEndpoint::set_impairment(
     const faultinject::ImpairmentConfig& cfg) {
@@ -317,17 +148,24 @@ faultinject::Impairment* TunnelEndpoint::set_impairment(
 }
 
 void TunnelEndpoint::clear_impairment() {
-  std::lock_guard lk(impair_mu_);
-  if (shaper_ != nullptr) {
-    // Best-effort drain of held frames so a cleared link does not strand
-    // reordered traffic.
-    std::vector<common::Bytes> out;
-    shaper_->flush(out);
-    for (common::Bytes& f : out) (void)wire_try_push(std::move(f));
-    wire_fire_tx_notify();
+  // Detach under the lock, flush outside it: the held frames may meet a
+  // full ring, and a switch shard blocked on impair_mu_ meanwhile would
+  // stop draining the reverse tunnel that frees it.
+  std::unique_ptr<faultinject::Shaper<common::Bytes>> shaper;
+  {
+    std::lock_guard lk(impair_mu_);
+    impaired_.store(false, std::memory_order_release);
+    shaper = std::move(shaper_);
   }
-  impaired_.store(false, std::memory_order_release);
-  shaper_.reset();
+  if (shaper == nullptr) return;
+  std::vector<common::Bytes> held;
+  shaper->flush(held);
+  // Held frames were counted as sent on admission, so each one a closed
+  // wire rejects is counted out as a drop rather than vanishing.
+  for (common::Bytes& f : held) {
+    if (!wire_push(std::move(f))) count_peer_drops(1);
+  }
+  if (!held.empty()) wire_fire_tx_notify();
 }
 
 faultinject::Impairment* TunnelEndpoint::impairment() {
@@ -336,8 +174,10 @@ faultinject::Impairment* TunnelEndpoint::impairment() {
 }
 
 void TunnelEndpoint::close() {
-  clear_impairment();
+  // Close first so the impairment flush meets a closed wire and fails fast
+  // instead of waiting on a ring nobody will drain.
   wire_close();
+  clear_impairment();
 }
 
 // ---- InMemoryTunnel -------------------------------------------------------
@@ -346,28 +186,29 @@ bool InMemoryTunnel::wire_push(common::Bytes frame) {
   return tx_->q.push(std::move(frame));
 }
 
-bool InMemoryTunnel::wire_try_push(common::Bytes frame) {
-  return tx_->q.try_push(std::move(frame));
-}
-
-std::size_t InMemoryTunnel::wire_try_push_bulk(
-    std::vector<common::Bytes>& frames) {
+std::size_t InMemoryTunnel::wire_try_push_pkts(
+    std::span<const PacketPtr> pkts, std::span<const TxFrameInfo> info) {
+  std::vector<common::Bytes> frames;
+  frames.reserve(pkts.size());
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    common::Bytes frame;
+    frame.reserve(info[i].body_len + kChecksumBytes);
+    EncodeFrame(*pkts[i], frame);
+    AppendChecksum(frame, info[i].checksum);
+    frames.push_back(std::move(frame));
+  }
   return tx_->q.try_push_bulk(frames.begin(), frames.size());
 }
 
-std::optional<common::Bytes> InMemoryTunnel::wire_try_pop() {
-  return rx_->q.try_pop();
+std::size_t InMemoryTunnel::wire_pop_views(std::vector<FrameView>& out,
+                                           std::size_t max) {
+  rx_lent_.clear();
+  const std::size_t n = rx_->q.pop_bulk(std::back_inserter(rx_lent_), max);
+  for (const common::Bytes& f : rx_lent_) out.push_back(FrameView{f});
+  return n;
 }
 
-std::size_t InMemoryTunnel::wire_pop_bulk(std::vector<common::Bytes>& out,
-                                          std::size_t max) {
-  return rx_->q.pop_bulk(std::back_inserter(out), max);
-}
-
-std::optional<common::Bytes> InMemoryTunnel::wire_pop_for(
-    std::chrono::milliseconds timeout) {
-  return rx_->q.pop_for(timeout);
-}
+void InMemoryTunnel::wire_release_views() { rx_lent_.clear(); }
 
 std::size_t InMemoryTunnel::wire_rx_depth() const { return rx_->q.size(); }
 

@@ -10,17 +10,20 @@
 // dropped and counted (`rx_corrupt_drops`) instead of surfacing garbage —
 // the wire can be corrupted by an attached fault-injection Impairment.
 //
-// Burst I/O: try_send_burst enqueues a whole vector of frames under one
-// ring-lock round (the DPDK tx-burst analog) and try_recv_burst drains up
-// to N frames the same way, decoding into caller-provided pooled packets.
-// Send may be called from several switch shards concurrently (frame
-// counters are atomics); burst receive is single-consumer — the one shard
-// that owns this tunnel's RX polling.
+// Three I/O calls: try_send_burst hands a burst of refcounted packets to
+// the wire under one ring-lock round (the DPDK tx-burst analog), send is
+// the blocking per-frame fallback for a tail the ring rejected, and
+// try_recv_burst drains up to N frames as borrowed views, verifying and
+// decoding them into caller-provided pooled packets (rx-burst). Send may be
+// called from several switch shards concurrently (frame counters are
+// atomics); burst receive is single-consumer — the one shard that owns
+// this tunnel's RX polling.
 //
 // TunnelEndpoint is a transport-agnostic base: framing, checksums, the
-// impairment shaper, the tx rate cap, and all counters live here, above a
-// small set of wire primitives (`wire_*`). Transports only move opaque
-// checksummed frames:
+// impairment shaper, and all counters live here, above a small wire
+// contract (`wire_*`: a blocking frame push, a packet burst push, a
+// lend/release pair of RX views, depth, close, and notify hooks).
+// Transports only move opaque checksummed frames:
 //   - InMemoryTunnel (this header + CreateTunnel): a pair of in-process
 //     frame rings — the single-process deployment.
 //   - SocketTunnel (net/socket_tunnel.h): a real TCP connection between
@@ -37,22 +40,20 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/mpmc_queue.h"
-#include "common/token_bucket.h"
 #include "faultinject/impairment.h"
 #include "net/packet.h"
 
 namespace typhoon::net {
 
 // Width of the FNV-1a checksum trailer appended to every wire frame.
-// Transports that build records without materializing the frame (the
-// vectored socket TX path, the shm burst writer) need the trailer width to
-// size their records; the checksum value itself rides in TxFrameInfo.
+// Transports framing records from packets (wire_try_push_pkts) need the
+// trailer width to size their records; the checksum value itself rides in
+// TxFrameInfo.
 inline constexpr std::size_t kFrameChecksumBytes = 8;
 
 // Checksum of a packet's encoded frame ([header][payload]) computed without
@@ -81,32 +82,25 @@ class TunnelEndpoint {
   TunnelEndpoint(const TunnelEndpoint&) = delete;
   TunnelEndpoint& operator=(const TunnelEndpoint&) = delete;
 
-  // Blocking send (TCP back-pressure semantics). False once closed.
+  // ---- the three I/O calls -----------------------------------------------
+
+  // Blocking send (TCP back-pressure semantics): the fallback for a burst
+  // tail the non-blocking path rejected. False once closed.
   bool send(const Packet& p);
-  // Non-blocking burst send: encodes and enqueues frames in order under one
-  // ring-lock round, stopping at the first rejection (full ring). Returns
-  // the number enqueued; the unsent tail `pkts[n..]` stays with the caller
-  // (retry, hold, or fall back to the blocking send).
-  std::size_t try_send_burst(std::span<const Packet* const> pkts);
-  // PacketPtr burst send — the cross-process fast path. Same ordering and
-  // tail semantics as the raw-pointer overload, but hands the refcounted
-  // handles to the wire so a transport with its own I/O thread (socket) can
-  // keep the packets alive and write [header iovec][payload iovec] pairs
-  // without ever copying the payload into an intermediate frame buffer.
+  // Non-blocking burst send (the DPDK tx-burst analog): hands refcounted
+  // packets plus their precomputed framing metadata to the wire in order,
+  // stopping at the first rejection (full ring). Returns the number
+  // accepted; the unsent tail `pkts[n..]` stays with the caller (retry,
+  // hold, or fall back to the blocking send). A transport with a vectored
+  // TX path (socket, shm) frames records straight from the packets without
+  // copying the payload into an intermediate frame buffer.
   std::size_t try_send_burst(std::span<const PacketPtr> pkts);
-  // Non-blocking receive of one decoded frame.
-  std::optional<Packet> try_recv();
-  // Non-blocking receive into an existing packet, reusing its payload
-  // capacity (pooled RX path — no per-frame Packet allocation).
-  bool try_recv_into(Packet& out);
-  // Non-blocking burst receive: drains up to out.size() frames under one
-  // ring-lock round and decodes them into the caller's packets (payload
-  // capacity reused, same as try_recv_into). Returns the number decoded;
+  // Non-blocking burst receive (rx-burst): borrows up to out.size() frames
+  // from the wire as views, verifies each checksum, and decodes into the
+  // caller's packets (payload capacity reused). Returns the number decoded;
   // corrupt frames are counted and skipped, never surfaced. Single
   // consumer: only the owning poller may call this.
   std::size_t try_recv_burst(std::span<Packet*> out);
-  // Blocking receive with timeout.
-  std::optional<Packet> recv_for(std::chrono::milliseconds timeout);
 
   // Frames queued toward this endpoint, not yet received. Used by pollers
   // deciding whether to park.
@@ -119,6 +113,8 @@ class TunnelEndpoint {
     wire_set_rx_notify(std::move(fn));
   }
 
+  // Close the wire. Frames an impairment still holds back are counted out
+  // as peer_drops (a torn-down link loses them); never blocks.
   void close();
   [[nodiscard]] std::uint64_t frames_sent() const {
     return sent_.load(std::memory_order_relaxed);
@@ -130,9 +126,10 @@ class TunnelEndpoint {
   [[nodiscard]] std::uint64_t rx_corrupt_drops() const {
     return corrupt_rx_.load(std::memory_order_relaxed);
   }
-  // Frames accepted by send()/try_send_burst() but discarded by the
-  // transport because the peer was gone (connection down / process dead).
-  // Always 0 for the in-memory transport, whose peer cannot vanish.
+  // Frames accepted by send()/try_send_burst() but discarded before they
+  // reached the peer: the peer was gone (connection down / process dead),
+  // or the endpoint closed while an impairment still held them back. The
+  // in-memory transport's peer cannot vanish, so only the second applies.
   [[nodiscard]] std::uint64_t peer_drops() const {
     return peer_drops_.load(std::memory_order_relaxed);
   }
@@ -144,73 +141,44 @@ class TunnelEndpoint {
   // clear_impairment() or endpoint destruction. Thread-safe.
   faultinject::Impairment* set_impairment(
       const faultinject::ImpairmentConfig& cfg);
+  // Detach the impairment and hand its held-back frames to the wire,
+  // waiting for ring space like send() does (never while holding the
+  // impairment lock, so concurrent senders keep making progress).
   void clear_impairment();
   [[nodiscard]] faultinject::Impairment* impairment();
-
-  // Cap this endpoint's transmit byte rate (a genuinely bandwidth-bounded
-  // link — the congestion substrate for the QoS experiments). The blocking
-  // send() waits for token credit (TCP back-pressure semantics, so a switch
-  // shard flushing into a saturated link stalls and the pressure propagates
-  // upstream); try_send_burst stops at the first frame the bucket cannot
-  // yet cover, leaving the tail with the caller. 0 clears the cap.
-  // Thread-safe; the uncapped path pays one relaxed load.
-  void set_tx_rate(double bytes_per_sec);
-  [[nodiscard]] double tx_rate() const;
 
  protected:
   TunnelEndpoint() = default;
 
-  // ---- wire primitives, implemented per transport -----------------------
-  // Frames handed down are opaque checksummed byte blobs; transports move
-  // them verbatim and never look inside.
+  // ---- the wire contract, implemented per transport ----------------------
+  // Eight primitives: two pushes, a lend/release pair for receive, the RX
+  // depth, close, and the two notify hooks. Transports move frames
+  // verbatim and never verify or decode them.
 
-  // Blocking enqueue toward the peer. False once the wire is closed.
+  // Blocking enqueue of one opaque checksummed frame ([header][payload]
+  // [checksum]) — the blocking send and impairment-shaper output. False
+  // once the wire is closed.
   virtual bool wire_push(common::Bytes frame) = 0;
-  // Non-blocking enqueue; false when the wire is full or closed.
-  virtual bool wire_try_push(common::Bytes frame) = 0;
-  // Non-blocking bulk enqueue under one lock round. Returns the number
-  // accepted from the front of `frames`; the tail stays with the caller.
-  virtual std::size_t wire_try_push_bulk(
-      std::vector<common::Bytes>& frames) = 0;
-  // Non-blocking bulk enqueue of refcounted packets plus their precomputed
-  // framing metadata (info[i] describes pkts[i]). Default: materialize each
-  // frame and fall back to wire_try_push_bulk — transports with a vectored
-  // TX path (socket, shm) override to skip the intermediate copy. Returns
-  // the accepted prefix length.
+  // Non-blocking bulk enqueue of refcounted packets plus their framing
+  // metadata (info[i] describes pkts[i]). Returns the accepted prefix
+  // length; the tail stays with the caller.
   virtual std::size_t wire_try_push_pkts(std::span<const PacketPtr> pkts,
-                                         std::span<const TxFrameInfo> info);
-  // Non-blocking dequeue of one frame from the peer.
-  virtual std::optional<common::Bytes> wire_try_pop() = 0;
-  // Bulk dequeue of up to `max` frames under one lock round.
-  virtual std::size_t wire_pop_bulk(std::vector<common::Bytes>& out,
-                                    std::size_t max) = 0;
-  // Blocking dequeue with timeout.
-  virtual std::optional<common::Bytes> wire_pop_for(
-      std::chrono::milliseconds timeout) = 0;
-  // View-based RX: transports that hold received records in slabs/rings can
-  // hand out borrowed spans instead of copying each frame into a Bytes.
-  // wire_pop_views appends up to `max` views (valid until the matching
-  // wire_release_views) and returns the count; try_recv_burst decodes
-  // straight from the views into the caller's pooled packets, making the
-  // decode the only copy on the RX path. Single consumer, and the two
-  // calls must pair up (no other RX call in between).
-  [[nodiscard]] virtual bool wire_supports_views() const { return false; }
+                                         std::span<const TxFrameInfo> info) = 0;
+  // Lend up to `max` received frames as borrowed views appended to `out`,
+  // valid until the matching wire_release_views(); returns the count.
+  // Single consumer, and the two calls pair up with no other RX call in
+  // between.
   virtual std::size_t wire_pop_views(std::vector<FrameView>& out,
-                                     std::size_t max) {
-    (void)out;
-    (void)max;
-    return 0;
-  }
-  virtual void wire_release_views() {}
+                                     std::size_t max) = 0;
+  virtual void wire_release_views() = 0;
   // Frames queued toward this endpoint, not yet popped.
   [[nodiscard]] virtual std::size_t wire_rx_depth() const = 0;
-  // Tear the wire down; all subsequent pushes/pops fail fast.
+  // Tear the wire down; all subsequent pushes fail fast.
   virtual void wire_close() = 0;
   // Fired once after a send/burst handed frames to the wire. The in-memory
   // transport pokes the peer's rx-notify hook here; transports with their
   // own RX pump (socket/shm) fire the local hook from the pump instead.
   virtual void wire_fire_tx_notify() {}
-
   // Receiver-side notify hook. The default implementation stores the hook
   // endpoint-locally (for transports whose RX pump fires it); InMemoryTunnel
   // overrides it to store the hook on the shared channel, where the peer's
@@ -245,17 +213,12 @@ class TunnelEndpoint {
   NotifyHook rx_hook_;
 
  private:
-  std::optional<Packet> decode_checked(common::Bytes frame);
-  bool decode_checked_into(common::Bytes frame, Packet& out);
-
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> corrupt_rx_{0};
   std::atomic<std::uint64_t> peer_drops_{0};
 
-  // Single-consumer scratch for try_recv_burst (frames popped in bulk,
-  // decoded outside the ring lock).
-  std::vector<common::Bytes> rx_scratch_;
+  // Single-consumer scratch for try_recv_burst's borrowed views.
   std::vector<FrameView> view_scratch_;
 
   // Wire shaper, present only while impaired. The flag keeps the unimpaired
@@ -263,11 +226,6 @@ class TunnelEndpoint {
   std::mutex impair_mu_;
   std::unique_ptr<faultinject::Shaper<common::Bytes>> shaper_;
   std::atomic<bool> impaired_{false};
-
-  // TX capacity cap (bytes/s); the bucket has internal locking and the
-  // flag gates the uncapped fast path.
-  common::ByteBucket tx_bucket_;
-  std::atomic<bool> tx_limited_{false};
 };
 
 // The in-process transport: two MPMC frame rings shared by the endpoint
@@ -276,13 +234,14 @@ class TunnelEndpoint {
 class InMemoryTunnel final : public TunnelEndpoint {
  protected:
   bool wire_push(common::Bytes frame) override;
-  bool wire_try_push(common::Bytes frame) override;
-  std::size_t wire_try_push_bulk(std::vector<common::Bytes>& frames) override;
-  std::optional<common::Bytes> wire_try_pop() override;
-  std::size_t wire_pop_bulk(std::vector<common::Bytes>& out,
-                            std::size_t max) override;
-  std::optional<common::Bytes> wire_pop_for(
-      std::chrono::milliseconds timeout) override;
+  // Encodes each checksummed frame and bulk-pushes the bytes, so the
+  // in-process tunnel still pays the marshalling cost of a host crossing.
+  std::size_t wire_try_push_pkts(std::span<const PacketPtr> pkts,
+                                 std::span<const TxFrameInfo> info) override;
+  // Pops frames into a held scratch vector and lends spans over them.
+  std::size_t wire_pop_views(std::vector<FrameView>& out,
+                             std::size_t max) override;
+  void wire_release_views() override;
   [[nodiscard]] std::size_t wire_rx_depth() const override;
   void wire_close() override;
   void wire_fire_tx_notify() override;
@@ -306,6 +265,8 @@ class InMemoryTunnel final : public TunnelEndpoint {
 
   std::shared_ptr<Channel> tx_;
   std::shared_ptr<Channel> rx_;
+  // Frames lent out by wire_pop_views (single consumer).
+  std::vector<common::Bytes> rx_lent_;
 };
 
 // Create a bidirectional in-memory tunnel; returns the two endpoints.

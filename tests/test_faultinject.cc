@@ -5,17 +5,24 @@
 // scale-up still delivers every sequence exactly (at-least) once.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "faultinject/fault_plan.h"
 #include "faultinject/impairment.h"
+#include "net/shm_ring_tunnel.h"
 #include "net/socket_tunnel.h"
 #include "net/tunnel.h"
 #include "stream/topology.h"
 #include "switchd/soft_switch.h"
 #include "typhoon/cluster.h"
 #include "util/components.h"
+#include "util/tunnel_io.h"
 
 namespace typhoon {
 namespace {
@@ -28,7 +35,9 @@ using faultinject::ImpairmentConfig;
 using testutil::CollectingSink;
 using testutil::ForwardBolt;
 using testutil::ReplayableSpout;
+using testutil::RecvFor;
 using testutil::SinkState;
+using testutil::TryRecv;
 
 template <typename F>
 bool WaitFor(F&& pred, std::chrono::milliseconds timeout) {
@@ -231,23 +240,82 @@ net::Packet SeqPacket(std::int64_t seq) {
   return p;
 }
 
-std::vector<int> RunImpairedTransfer(std::uint64_t seed, int frames,
+// The impairment stage lives in the TunnelEndpoint base, and the view
+// path is the only RX checksum path, so every tunnel property below runs
+// over each transport: in-memory rings, a real loopback TCP connection,
+// and a shared-memory ring segment.
+enum class Wire { kMemory, kSocket, kShm };
+
+const char* WireName(Wire w) {
+  switch (w) {
+    case Wire::kMemory: return "memory";
+    case Wire::kSocket: return "socket";
+    case Wire::kShm: return "shm";
+  }
+  return "?";
+}
+
+// A connected tx -> rx endpoint pair over one transport; tears itself down.
+struct WirePair {
+  explicit WirePair(Wire w) {
+    switch (w) {
+      case Wire::kMemory: {
+        auto [a, b] = net::CreateTunnel(16384);
+        tx = a;
+        rx = b;
+        break;
+      }
+      case Wire::kSocket: {
+        listener = std::make_unique<net::SocketTunnelListener>(2);
+        EXPECT_TRUE(listener->bind(0));
+        rx = listener->expect_peer(1);
+        listener->start();
+        tx = net::SocketTunnel::Connect("127.0.0.1", listener->port(), 1, 2);
+        break;
+      }
+      case Wire::kShm: {
+        shm_name = "/typhoon-test-impair-" + std::to_string(::getpid());
+        net::ShmRingTunnel::UnlinkSegment(shm_name);
+        EXPECT_TRUE(net::ShmRingTunnel::CreateSegment(shm_name, 1 << 20));
+        tx = net::ShmRingTunnel::Attach(shm_name, net::ShmRingTunnel::Side::kA);
+        rx = net::ShmRingTunnel::Attach(shm_name, net::ShmRingTunnel::Side::kB);
+        EXPECT_TRUE(tx != nullptr && rx != nullptr);
+        break;
+      }
+    }
+  }
+  ~WirePair() {
+    if (tx != nullptr) tx->close();
+    if (rx != nullptr) rx->close();
+    if (listener != nullptr) listener->stop();
+    if (!shm_name.empty()) net::ShmRingTunnel::UnlinkSegment(shm_name);
+  }
+
+  std::shared_ptr<net::TunnelEndpoint> tx;
+  std::shared_ptr<net::TunnelEndpoint> rx;
+  std::unique_ptr<net::SocketTunnelListener> listener;
+  std::string shm_name;
+};
+
+std::vector<int> RunImpairedTransfer(Wire wire, std::uint64_t seed,
+                                     int frames,
                                      std::uint64_t* fingerprint_out) {
-  auto [a, b] = net::CreateTunnel(16384);
+  WirePair w(wire);
   ImpairmentConfig cfg;
   cfg.drop = 0.3;
   cfg.reorder = 0.1;
   cfg.seed = seed;
-  Impairment* imp = a->set_impairment(cfg);
-  for (int i = 0; i < frames; ++i) a->send(SeqPacket(i));
+  Impairment* imp = w.tx->set_impairment(cfg);
+  for (int i = 0; i < frames; ++i) w.tx->send(SeqPacket(i));
   // Fingerprint is read before clear_impairment(): the Impairment lives
   // inside the shaper, which clear destroys. Flushing the holdback makes
   // no further decisions, so the fingerprint is already final here.
   if (fingerprint_out != nullptr) *fingerprint_out = imp->fingerprint();
-  a->clear_impairment();  // flush holdback
+  w.tx->clear_impairment();  // flush holdback
 
+  // Surviving frames may cross a real connection; drain until quiescent.
   std::vector<int> received;
-  while (auto p = b->try_recv()) {
+  while (auto p = RecvFor(*w.rx, 200ms)) {
     received.push_back(p->payload[0] | (p->payload[1] << 8));
   }
   return received;
@@ -256,89 +324,78 @@ std::vector<int> RunImpairedTransfer(std::uint64_t seed, int frames,
 TEST(TunnelImpairment, ReplayIsBitIdentical) {
   std::uint64_t fp1 = 0;
   std::uint64_t fp2 = 0;
-  const std::vector<int> run1 = RunImpairedTransfer(42, 2000, &fp1);
-  const std::vector<int> run2 = RunImpairedTransfer(42, 2000, &fp2);
+  const std::vector<int> run1 =
+      RunImpairedTransfer(Wire::kMemory, 42, 2000, &fp1);
+  const std::vector<int> run2 =
+      RunImpairedTransfer(Wire::kMemory, 42, 2000, &fp2);
   EXPECT_EQ(fp1, fp2);
   EXPECT_EQ(run1, run2);  // same drops, same delivery order
   EXPECT_LT(run1.size(), 2000u);  // drops actually happened
   EXPECT_GT(run1.size(), 1000u);
 
   std::uint64_t fp3 = 0;
-  const std::vector<int> run3 = RunImpairedTransfer(43, 2000, &fp3);
+  const std::vector<int> run3 =
+      RunImpairedTransfer(Wire::kMemory, 43, 2000, &fp3);
   EXPECT_NE(fp1, fp3);
   EXPECT_NE(run1, run3);
 }
 
 TEST(TunnelImpairment, CorruptionIsDetectedByChecksum) {
-  auto [a, b] = net::CreateTunnel();
-  ImpairmentConfig cfg;
-  cfg.corrupt = 1.0;
-  Impairment* imp = a->set_impairment(cfg);
+  for (Wire wire : {Wire::kMemory, Wire::kSocket, Wire::kShm}) {
+    SCOPED_TRACE(WireName(wire));
+    WirePair w(wire);
+    net::TunnelEndpoint* a = w.tx.get();
+    net::TunnelEndpoint* b = w.rx.get();
+    ImpairmentConfig cfg;
+    cfg.corrupt = 1.0;
+    Impairment* imp = a->set_impairment(cfg);
 
-  constexpr int kFrames = 200;
-  for (int i = 0; i < kFrames; ++i) a->send(SeqPacket(i));
-  int delivered = 0;
-  while (b->try_recv()) ++delivered;
+    constexpr int kFrames = 200;
+    for (int i = 0; i < kFrames; ++i) a->send(SeqPacket(i));
+    int delivered = 0;
+    WaitFor(
+        [&] {
+          while (TryRecv(*b)) ++delivered;
+          return delivered + b->rx_corrupt_drops() >=
+                 static_cast<std::uint64_t>(kFrames);
+        },
+        10s);
 
-  // Every frame had one byte flipped; the checksum turns each into a
-  // counted drop instead of a garbage packet.
-  EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(b->rx_corrupt_drops(), static_cast<std::uint64_t>(kFrames));
-  EXPECT_EQ(imp->corruptions(), static_cast<std::uint64_t>(kFrames));
+    // Every frame had one byte flipped; the checksum turns each into a
+    // counted drop instead of a garbage packet.
+    EXPECT_EQ(delivered, 0);
+    EXPECT_EQ(b->rx_corrupt_drops(), static_cast<std::uint64_t>(kFrames));
+    EXPECT_EQ(imp->corruptions(), static_cast<std::uint64_t>(kFrames));
 
-  a->clear_impairment();
-  a->send(SeqPacket(0));
-  EXPECT_TRUE(b->try_recv().has_value());  // clean link works again
-}
-
-// The impairment stage lives in the TunnelEndpoint base, so the real-socket
-// transport inherits it unchanged: the same seed over the same send
-// sequence must make the same decisions (identical FNV fingerprints) and
-// deliver the same frames as the in-memory transport — and replaying the
-// socket run must be bit-identical.
-std::vector<int> RunImpairedSocketTransfer(std::uint64_t seed, int frames,
-                                           std::uint64_t* fingerprint_out) {
-  net::SocketTunnelListener listener(2);
-  EXPECT_TRUE(listener.bind(0));
-  auto passive = listener.expect_peer(1);
-  listener.start();
-  auto active =
-      net::SocketTunnel::Connect("127.0.0.1", listener.port(), 1, 2);
-
-  ImpairmentConfig cfg;
-  cfg.drop = 0.3;
-  cfg.reorder = 0.1;
-  cfg.seed = seed;
-  Impairment* imp = active->set_impairment(cfg);
-  for (int i = 0; i < frames; ++i) active->send(SeqPacket(i));
-  if (fingerprint_out != nullptr) *fingerprint_out = imp->fingerprint();
-  active->clear_impairment();  // flush holdback
-
-  // Surviving frames cross a real TCP connection; drain until quiescent.
-  std::vector<int> received;
-  for (;;) {
-    auto p = passive->recv_for(200ms);
-    if (!p.has_value()) break;
-    received.push_back(p->payload[0] | (p->payload[1] << 8));
+    a->clear_impairment();
+    a->send(SeqPacket(0));
+    EXPECT_TRUE(RecvFor(*b, 5000ms).has_value());  // clean link works again
   }
-  active->close();
-  passive->close();
-  listener.stop();
-  return received;
 }
 
+// The same seed over the same send sequence must make the same decisions
+// (identical FNV fingerprints) and deliver the same frames on every
+// transport — and replaying the socket run must be bit-identical.
 TEST(TunnelImpairment, SocketTransportSharesDecisionFingerprints) {
   std::uint64_t fp_mem = 0;
   std::uint64_t fp_sock1 = 0;
   std::uint64_t fp_sock2 = 0;
-  const std::vector<int> mem = RunImpairedTransfer(42, 2000, &fp_mem);
-  const std::vector<int> sock1 = RunImpairedSocketTransfer(42, 2000, &fp_sock1);
-  const std::vector<int> sock2 = RunImpairedSocketTransfer(42, 2000, &fp_sock2);
+  std::uint64_t fp_shm = 0;
+  const std::vector<int> mem =
+      RunImpairedTransfer(Wire::kMemory, 42, 2000, &fp_mem);
+  const std::vector<int> sock1 =
+      RunImpairedTransfer(Wire::kSocket, 42, 2000, &fp_sock1);
+  const std::vector<int> sock2 =
+      RunImpairedTransfer(Wire::kSocket, 42, 2000, &fp_sock2);
+  const std::vector<int> shm =
+      RunImpairedTransfer(Wire::kShm, 42, 2000, &fp_shm);
 
   // Same seed, same send sequence: the decision stream is transport
   // independent, and the delivered frames are identical.
   EXPECT_EQ(fp_mem, fp_sock1);
   EXPECT_EQ(mem, sock1);
+  EXPECT_EQ(fp_mem, fp_shm);
+  EXPECT_EQ(mem, shm);
 
   // Replay over the socket transport is bit-identical.
   EXPECT_EQ(fp_sock1, fp_sock2);
@@ -346,6 +403,61 @@ TEST(TunnelImpairment, SocketTransportSharesDecisionFingerprints) {
 
   EXPECT_LT(sock1.size(), 2000u);  // drops actually happened
   EXPECT_GT(sock1.size(), 1000u);
+}
+
+// Clearing an impairment hands its held-back frames to the wire. A full
+// ring must hold the flush back (the receiver drains it) rather than drop
+// frames nobody counts: every frame counted sent is delivered or counted
+// by a drop counter.
+TEST(TunnelImpairment, ClearDeliversHeldFramesPastAFullRing) {
+  auto [a, b] = net::CreateTunnel(8);
+  ImpairmentConfig cfg;
+  cfg.delay_frames = 6;
+  Impairment* imp = a->set_impairment(cfg);
+  constexpr int kFrames = 12;
+  for (int i = 0; i < kFrames; ++i) ASSERT_TRUE(a->send(SeqPacket(i)));
+  const std::uint64_t impaired_drops = imp->drops();
+
+  // 6 frames sit in the ring and 6 are held, more than the 2 free slots.
+  // Let the flush fill the ring and linger before draining, so a flush
+  // that gives up on a full ring has finished giving up.
+  std::thread clearer([&] { a->clear_impairment(); });
+  EXPECT_TRUE(WaitFor([&] { return b->rx_queue_depth() == 8; }, 5s));
+  common::SleepMillis(20);
+  std::vector<int> got;
+  WaitFor(
+      [&] {
+        while (auto p = TryRecv(*b)) {
+          got.push_back(p->payload[0] | (p->payload[1] << 8));
+        }
+        return got.size() + a->peer_drops() >=
+               static_cast<std::size_t>(kFrames);
+      },
+      5s);
+  clearer.join();
+
+  EXPECT_EQ(a->frames_sent(), got.size() + impaired_drops +
+                                  b->rx_corrupt_drops() + a->peer_drops());
+  std::vector<int> expect(kFrames);
+  for (int i = 0; i < kFrames; ++i) expect[i] = i;
+  EXPECT_EQ(got, expect);  // a pure delay keeps order
+}
+
+// close() must never wait on a full ring: held-back frames the closed wire
+// rejects are counted out as peer drops, never lost silently.
+TEST(TunnelImpairment, CloseCountsHeldFramesItCannotDeliver) {
+  auto [a, b] = net::CreateTunnel(8);
+  ImpairmentConfig cfg;
+  cfg.delay_frames = 6;
+  a->set_impairment(cfg);
+  constexpr int kFrames = 12;
+  for (int i = 0; i < kFrames; ++i) ASSERT_TRUE(a->send(SeqPacket(i)));
+
+  a->close();  // returns even though the held frames cannot fit
+  std::uint64_t delivered = 0;
+  while (TryRecv(*b)) ++delivered;  // frames already queued still drain
+  EXPECT_EQ(a->frames_sent(), delivered + a->peer_drops());
+  EXPECT_GT(a->peer_drops(), 0u);
 }
 
 // --------------------------------------------------------------- SoftSwitch

@@ -22,9 +22,13 @@
 #include "net/shm_ring_tunnel.h"
 #include "net/socket_tunnel.h"
 #include "net/tunnel.h"
+#include "util/tunnel_io.h"
 
 namespace typhoon::net {
 namespace {
+
+using testutil::RecvFor;
+using testutil::TryRecv;
 
 WorkerAddress Addr(WorkerId w) { return WorkerAddress{7, w}; }
 
@@ -289,7 +293,7 @@ TEST(Tunnel, BidirectionalFrameTransfer) {
   p.dst = Addr(2);
   p.payload = {1, 2, 3};
   ASSERT_TRUE(a->send(p));
-  auto got = b->recv_for(std::chrono::milliseconds(100));
+  auto got = RecvFor(*b, std::chrono::milliseconds(100));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->payload, p.payload);
   EXPECT_EQ(got->src, p.src);
@@ -298,7 +302,7 @@ TEST(Tunnel, BidirectionalFrameTransfer) {
   back.src = Addr(2);
   back.dst = Addr(1);
   ASSERT_TRUE(b->send(back));
-  EXPECT_TRUE(a->recv_for(std::chrono::milliseconds(100)).has_value());
+  EXPECT_TRUE(RecvFor(*a, std::chrono::milliseconds(100)).has_value());
 }
 
 TEST(Tunnel, CountsFramesAndBytes) {
@@ -318,7 +322,7 @@ TEST(Tunnel, CloseStopsTransfer) {
   a->close();
   Packet p;
   EXPECT_FALSE(a->send(p));
-  EXPECT_FALSE(b->try_recv().has_value());
+  EXPECT_FALSE(TryRecv(*b).has_value());
 }
 
 TEST(Tunnel, PreservesOrder) {
@@ -332,7 +336,7 @@ TEST(Tunnel, PreservesOrder) {
     ASSERT_TRUE(a->send(p));
   }
   for (int i = 0; i < 500; ++i) {
-    auto got = b->try_recv();
+    auto got = TryRecv(*b);
     ASSERT_TRUE(got.has_value());
     const int v = got->payload[0] | (got->payload[1] << 8);
     EXPECT_EQ(v, i);
@@ -355,14 +359,12 @@ int PacketNumber(const Packet& p) {
 
 TEST(TunnelBurst, SendBurstRoundTripsExactly) {
   auto [a, b] = CreateTunnel(1024);
-  std::vector<Packet> pkts;
-  std::vector<const Packet*> ptrs;
-  for (int i = 0; i < 100; ++i) pkts.push_back(NumberedPacket(i));
-  for (const Packet& p : pkts) ptrs.push_back(&p);
+  std::vector<PacketPtr> pkts;
+  for (int i = 0; i < 100; ++i) pkts.push_back(MakePacket(NumberedPacket(i)));
 
-  EXPECT_EQ(a->try_send_burst(ptrs), 100u);
+  EXPECT_EQ(a->try_send_burst(pkts), 100u);
   EXPECT_EQ(a->frames_sent(), 100u);
-  EXPECT_EQ(a->bytes_sent(), 100 * pkts[0].wire_size());
+  EXPECT_EQ(a->bytes_sent(), 100 * pkts[0]->wire_size());
   EXPECT_EQ(b->rx_queue_depth(), 100u);
 
   // Burst receive into pooled packets: same count, order, and bytes.
@@ -380,28 +382,26 @@ TEST(TunnelBurst, SendBurstRoundTripsExactly) {
 
 TEST(TunnelBurst, PartialSendOnFullRingKeepsTailResendable) {
   auto [a, b] = CreateTunnel(8);
-  std::vector<Packet> pkts;
-  std::vector<const Packet*> ptrs;
-  for (int i = 0; i < 20; ++i) pkts.push_back(NumberedPacket(i));
-  for (const Packet& p : pkts) ptrs.push_back(&p);
+  std::vector<PacketPtr> pkts;
+  for (int i = 0; i < 20; ++i) pkts.push_back(MakePacket(NumberedPacket(i)));
 
-  const std::size_t sent = a->try_send_burst(ptrs);
+  const std::size_t sent = a->try_send_burst(pkts);
   EXPECT_EQ(sent, 8u);  // ring capacity
   EXPECT_EQ(a->frames_sent(), 8u);  // unsent tail not counted
 
   // Drain the peer, then resend the tail — nothing lost, order preserved.
   for (std::size_t i = 0; i < sent; ++i) {
-    auto got = b->try_recv();
+    auto got = TryRecv(*b);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(PacketNumber(*got), static_cast<int>(i));
   }
   std::size_t off = sent;
   while (off < 20) {
     const std::size_t k = a->try_send_burst(
-        std::span<const Packet* const>(ptrs).subspan(off));
+        std::span<const PacketPtr>(pkts).subspan(off));
     ASSERT_GT(k, 0u);
     for (std::size_t i = 0; i < k; ++i) {
-      auto got = b->try_recv();
+      auto got = TryRecv(*b);
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(PacketNumber(*got), static_cast<int>(off + i));
     }
@@ -412,18 +412,16 @@ TEST(TunnelBurst, PartialSendOnFullRingKeepsTailResendable) {
 
 TEST(TunnelBurst, BurstInteropsWithPerFrameRecv) {
   auto [a, b] = CreateTunnel(256);
-  std::vector<Packet> pkts;
-  std::vector<const Packet*> ptrs;
-  for (int i = 0; i < 32; ++i) pkts.push_back(NumberedPacket(i));
-  for (const Packet& p : pkts) ptrs.push_back(&p);
-  ASSERT_EQ(a->try_send_burst(ptrs), 32u);
+  std::vector<PacketPtr> pkts;
+  for (int i = 0; i < 32; ++i) pkts.push_back(MakePacket(NumberedPacket(i)));
+  ASSERT_EQ(a->try_send_burst(pkts), 32u);
 
-  // Mix pooled per-frame receive (try_recv_into) with burst receive; the
-  // stream stays in order across the two APIs.
+  // Mix pooled one-slot receives with a wide burst receive; the stream
+  // stays in order across the two burst sizes.
   auto pool = PacketPool::Create();
   for (int i = 0; i < 8; ++i) {
     Packet* slot = pool->acquire_raw();
-    ASSERT_TRUE(b->try_recv_into(*slot));
+    ASSERT_EQ(b->try_recv_burst(std::span<Packet*>(&slot, 1)), 1u);
     EXPECT_EQ(PacketNumber(*slot), i);
     PacketPtr::adopt(slot);
   }
@@ -436,7 +434,6 @@ TEST(TunnelBurst, BurstInteropsWithPerFrameRecv) {
 
 TEST(TunnelBurst, EmptyAndOversizedBursts) {
   auto [a, b] = CreateTunnel(16);
-  EXPECT_EQ(a->try_send_burst(std::span<const Packet* const>{}), 0u);
   EXPECT_EQ(a->try_send_burst(std::span<const PacketPtr>{}), 0u);
   auto pool = PacketPool::Create();
   std::vector<Packet*> slots;
@@ -457,11 +454,9 @@ TEST(TunnelBurst, RxNotifyFiresOnSendAndBurst) {
   ASSERT_TRUE(a->send(NumberedPacket(0)));
   EXPECT_EQ(fired.load(), 1);
 
-  std::vector<Packet> pkts;
-  std::vector<const Packet*> ptrs;
-  for (int i = 0; i < 10; ++i) pkts.push_back(NumberedPacket(i));
-  for (const Packet& p : pkts) ptrs.push_back(&p);
-  ASSERT_EQ(a->try_send_burst(ptrs), 10u);
+  std::vector<PacketPtr> pkts;
+  for (int i = 0; i < 10; ++i) pkts.push_back(MakePacket(NumberedPacket(i)));
+  ASSERT_EQ(a->try_send_burst(pkts), 10u);
   EXPECT_EQ(fired.load(), 2);  // once per burst, not per frame
 
   b->set_rx_notify(nullptr);
@@ -502,7 +497,7 @@ TEST(SocketTunnel, FrameRoundTripBothDirections) {
   p.dst = Addr(2);
   p.payload = {9, 8, 7, 6};
   ASSERT_TRUE(t.active->send(p));
-  auto got = t.passive->recv_for(std::chrono::seconds(5));
+  auto got = RecvFor(*t.passive, std::chrono::seconds(5));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->payload, p.payload);
   EXPECT_EQ(got->src, p.src);
@@ -512,7 +507,7 @@ TEST(SocketTunnel, FrameRoundTripBothDirections) {
   back.dst = Addr(1);
   back.payload = {1};
   ASSERT_TRUE(t.passive->send(back));
-  auto echoed = t.active->recv_for(std::chrono::seconds(5));
+  auto echoed = RecvFor(*t.active, std::chrono::seconds(5));
   ASSERT_TRUE(echoed.has_value());
   EXPECT_EQ(echoed->payload, back.payload);
 }
@@ -568,8 +563,8 @@ TEST(SocketTunnel, PartialReadReassemblyAcrossRecordBoundaries) {
   feed(first_record + 2 - off);  // finish record 1, leak 2 bytes of record 2
   feed(wire.size() - off);       // the rest
 
-  auto r1 = receiver->recv_for(std::chrono::seconds(5));
-  auto r2 = receiver->recv_for(std::chrono::seconds(5));
+  auto r1 = RecvFor(*receiver, std::chrono::seconds(5));
+  auto r2 = RecvFor(*receiver, std::chrono::seconds(5));
   ASSERT_TRUE(r1.has_value());
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(r1->payload, p.payload);
@@ -616,7 +611,7 @@ TEST(SocketTunnel, VectoredShortWriteResumesMidIovec) {
     if (k == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (int i = 0; i < kFrames; ++i) {
-    auto got = rx->recv_for(std::chrono::seconds(10));
+    auto got = RecvFor(*rx, std::chrono::seconds(10));
     ASSERT_TRUE(got.has_value()) << "frame " << i;
     EXPECT_EQ(got->payload, burst[static_cast<std::size_t>(i)]->payload)
         << "frame " << i;
@@ -662,7 +657,7 @@ TEST(SocketTunnel, TinySlabStitchesRecordsAcrossSlabBoundaries) {
     ASSERT_TRUE(tx->send(p));
   }
   for (int i = 0; i < kFrames; ++i) {
-    auto got = rx->recv_for(std::chrono::seconds(10));
+    auto got = RecvFor(*rx, std::chrono::seconds(10));
     ASSERT_TRUE(got.has_value()) << "frame " << i;
     EXPECT_EQ(got->payload, payload_for(i)) << "frame " << i;
   }
@@ -678,16 +673,16 @@ TEST(SocketTunnel, TinySlabStitchesRecordsAcrossSlabBoundaries) {
 TEST(SocketTunnel, BurstParityWithInMemoryTunnel) {
   constexpr int kFrames = 256;
   auto run = [&](TunnelEndpoint& tx, TunnelEndpoint& rx) {
-    std::vector<Packet> pkts;
+    std::vector<PacketPtr> pkts;
     pkts.reserve(kFrames);
-    for (int i = 0; i < kFrames; ++i) pkts.push_back(NumberedPacket(i));
+    for (int i = 0; i < kFrames; ++i) {
+      pkts.push_back(MakePacket(NumberedPacket(i)));
+    }
     std::size_t sent = 0;
     while (sent < pkts.size()) {
-      std::vector<const Packet*> ptrs;
-      for (std::size_t i = sent; i < std::min(sent + 32, pkts.size()); ++i) {
-        ptrs.push_back(&pkts[i]);
-      }
-      const std::size_t n = tx.try_send_burst(ptrs);
+      const std::size_t n = tx.try_send_burst(
+          std::span<const PacketPtr>(pkts).subspan(
+              sent, std::min<std::size_t>(32, pkts.size() - sent)));
       sent += n;
       if (n == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -729,7 +724,7 @@ TEST(SocketTunnel, PeerCloseBecomesCountedDrops) {
   p.dst = Addr(2);
   p.payload = {1, 2, 3};
   ASSERT_TRUE(t->active->send(p));
-  ASSERT_TRUE(t->passive->recv_for(std::chrono::seconds(5)).has_value());
+  ASSERT_TRUE(RecvFor(*t->passive, std::chrono::seconds(5)).has_value());
 
   t->passive->close();
   t->listener.stop();
@@ -774,7 +769,7 @@ TEST(TransportEquivalence, SeededWorkloadIsByteIdenticalAcrossTransports) {
       for (const Packet& p : workload) ASSERT_TRUE(tx.send(p));
     });
     while (out.size() < workload.size()) {
-      auto p = rx.recv_for(std::chrono::seconds(10));
+      auto p = RecvFor(rx, std::chrono::seconds(10));
       if (!p.has_value()) {
         ADD_FAILURE() << "receive timed out after " << out.size()
                       << " frames";
